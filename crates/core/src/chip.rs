@@ -6,13 +6,14 @@
 //! that arithmetic from the measured per-unit reductions, weighting each
 //! FU class by its share of measured execution-core switching.
 
+use fua_exec::{ExecReport, Jobs};
 use fua_isa::FuClass;
-use fua_power::EnergyLedger;
-use fua_sim::{Simulator, SteeringConfig};
+use fua_sim::SteeringConfig;
 use fua_stats::TextTable;
 use fua_steer::SteeringKind;
-use fua_workloads::all;
+use fua_workloads::WorkloadArena;
 
+use crate::lanes::{run_passes, Pass};
 use crate::ExperimentConfig;
 
 /// Fraction of total processor power consumed by the execution units,
@@ -60,30 +61,37 @@ impl ChipEstimate {
 /// Runs the whole suite under the recommended design point (4-bit LUT +
 /// hardware swapping + multiplier swap) and extrapolates to chip level.
 pub fn chip_estimate(config: &ExperimentConfig) -> ChipEstimate {
+    let arena = WorkloadArena::build(config.scale);
+    chip_estimate_jobs(config, &arena, Jobs::serial()).0
+}
+
+/// As [`chip_estimate`], over an already-decoded [`WorkloadArena`], one
+/// cell per workload fanned out across `jobs` workers. Each cell is one
+/// timing pass with two steering lanes, the baseline and the design
+/// point. The estimate is identical for any worker count.
+///
+/// # Panics
+///
+/// Panics if a workload faults.
+pub fn chip_estimate_jobs(
+    config: &ExperimentConfig,
+    arena: &WorkloadArena,
+    jobs: Jobs,
+) -> (ChipEstimate, ExecReport) {
     // The multiplier swap rule is deliberately NOT enabled here: it
     // optimises Booth partial products, which a Hamming-only ledger
     // cannot credit (the reason the paper reports no multiplier numbers
     // either) — enabling it would charge its latch cost and credit
     // nothing.
-    let run = |steered: bool| -> EnergyLedger {
-        let mut total = EnergyLedger::new();
-        for w in all(config.scale) {
-            let steering = if steered {
-                SteeringConfig::paper_scheme(SteeringKind::Lut { slots: 2 }, true)
-            } else {
-                SteeringConfig::original()
-            };
-            let mut sim = Simulator::new(config.machine.clone(), steering);
-            total.merge(
-                &sim.run_program(&w.program, config.inst_limit)
-                    .unwrap_or_else(|e| panic!("workload {} faulted: {e}", w.name))
-                    .ledger,
-            );
-        }
-        total
+    let pass = Pass {
+        compiler_swapped: false,
+        lanes: vec![
+            SteeringConfig::original(),
+            SteeringConfig::paper_scheme(SteeringKind::Lut { slots: 2 }, true),
+        ],
     };
-    let baseline = run(false);
-    let steered = run(true);
+    let (ledgers, report) = run_passes(config, arena.all(), &[pass], jobs);
+    let (baseline, steered) = (&ledgers[0][0], &ledgers[0][1]);
 
     let total_base = baseline.total_switched_bits().max(1);
     let mut unit_reduction = [0.0; 4];
@@ -91,15 +99,16 @@ pub fn chip_estimate(config: &ExperimentConfig) -> ChipEstimate {
     for class in FuClass::ALL {
         let i = class.index();
         unit_share[i] = baseline.switched_bits(class) as f64 / total_base as f64;
-        unit_reduction[i] = steered.reduction_vs(&baseline, class);
+        unit_reduction[i] = steered.reduction_vs(baseline, class);
     }
     let core_reduction = 1.0 - steered.total_switched_bits() as f64 / total_base as f64;
-    ChipEstimate {
+    let estimate = ChipEstimate {
         unit_reduction,
         unit_share,
         core_reduction,
         chip_reduction: core_reduction * EXECUTION_UNIT_POWER_SHARE,
-    }
+    };
+    (estimate, report)
 }
 
 #[cfg(test)]

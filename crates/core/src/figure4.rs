@@ -1,14 +1,14 @@
 //! Figure 4: energy reduction per steering scheme and swap variant.
 
-use fua_exec::{map_indexed_timed, ExecReport, Jobs};
+use fua_exec::{ExecReport, Jobs};
 use fua_isa::FuClass;
 use fua_power::EnergyLedger;
-use fua_sim::{Simulator, SteeringConfig};
+use fua_sim::SteeringConfig;
 use fua_stats::TextTable;
 use fua_steer::SteeringKind;
-use fua_swap::CompilerSwapPass;
 use fua_workloads::{Workload, WorkloadArena};
 
+use crate::lanes::{measured_scheme, reduction_pct, run_passes, Pass};
 use crate::{profile_suite, ExperimentConfig, SuiteProfile, Unit};
 
 /// The three stacked bars of each Figure-4 column.
@@ -106,16 +106,6 @@ fn workloads_for(unit: Unit, arena: &WorkloadArena) -> &[Workload] {
     }
 }
 
-/// One suite-wide measurement of the sweep: a steering scheme, a swap
-/// variant, and which program set (original or compiler-swapped) it runs
-/// over. A suite expands into one *cell* per workload.
-#[derive(Debug, Clone, Copy)]
-struct SuiteSpec {
-    kind: SteeringKind,
-    hw_swap: bool,
-    compiler_swapped: bool,
-}
-
 /// Regenerates Figure 4(a) (`Unit::Ialu`) or 4(b) (`Unit::Fpau`):
 /// profiles the suite, builds every scheme from the *measured* statistics
 /// (as the paper's authors did from their profiling runs), and measures
@@ -144,11 +134,13 @@ pub fn figure4_with_profile(
     figure4_with_profile_jobs(unit, config, &arena, profile, Jobs::serial()).0
 }
 
-/// The parallel core of the figure: fans every (scheme × swap-variant ×
-/// workload) cell of the sweep out across `jobs` workers over a shared
-/// read-only [`WorkloadArena`], then folds per-cell energy ledgers **in
-/// cell-index order** — so the figure is identical to the serial one
-/// regardless of worker count or scheduling.
+/// The parallel core of the figure. Each workload runs twice, once as
+/// written and once compiler-swapped, and each run is one timing pass
+/// that steers one lane per (scheme × hardware swap): 2 passes of 12
+/// lanes instead of 24 separate simulations. The schemes' tables are
+/// synthesised once per sweep. Per-lane ledgers are folded **in workload
+/// order**, so the figure is identical to the serial one regardless of
+/// worker count or scheduling.
 ///
 /// # Panics
 ///
@@ -167,143 +159,47 @@ pub fn figure4_with_profile_jobs(
         "arena scale must match the experiment configuration"
     );
     let class = unit.fu_class();
-    let ialu_profile = profile.case_profile(FuClass::IntAlu);
-    let fpau_profile = profile.case_profile(FuClass::FpAlu);
-    let ialu_occ = profile.ialu_occupancy.distribution();
-    let fpau_occ = profile.fpau_occupancy.distribution();
 
-    let workloads = workloads_for(unit, arena);
-    // Compiler-swapped twins, shared by every scheme — one independent
-    // cell per workload.
-    let (swapped, mut report) = map_indexed_timed(jobs, workloads, |_, w| {
-        let outcome = CompilerSwapPass::with_limit(config.inst_limit)
-            .run(&w.program)
-            .unwrap_or_else(|e| panic!("swap pass on {} faulted: {e}", w.name));
-        Workload {
-            program: outcome.program,
-            ..w.clone()
-        }
-    });
-
-    let machine = &config.machine;
-    let make_scheme = |kind: SteeringKind, hw_swap: bool| {
-        SteeringConfig::from_profiles_with_occupancy(
-            kind,
-            hw_swap,
-            &ialu_profile,
-            &fpau_profile,
-            &ialu_occ,
-            &fpau_occ,
-            machine.modules(FuClass::IntAlu),
-            machine.modules(FuClass::FpAlu),
-        )
-    };
-
-    // Suite 0 is the Original/no-swap baseline (the denominator); the
-    // rest cover every scheme × swap variant. Original's no-swap suite
-    // is not re-run — its row reuses the baseline, like the serial code
-    // always did.
-    let mut suites = vec![SuiteSpec {
-        kind: SteeringKind::Original,
-        hw_swap: false,
-        compiler_swapped: false,
-    }];
-    for kind in SteeringKind::FIGURE4 {
-        if kind != SteeringKind::Original {
-            suites.push(SuiteSpec {
-                kind,
-                hw_swap: false,
-                compiler_swapped: false,
-            });
-        }
-        suites.push(SuiteSpec {
-            kind,
-            hw_swap: true,
-            compiler_swapped: false,
-        });
-        suites.push(SuiteSpec {
-            kind,
-            hw_swap: true,
-            compiler_swapped: true,
-        });
-        suites.push(SuiteSpec {
-            kind,
-            hw_swap: false,
-            compiler_swapped: true,
-        });
-    }
-
-    // Flatten to cells — one (suite, workload) simulation each — and fan
-    // out. Workers return one ledger per cell; nothing is merged off the
-    // calling thread.
-    let cells: Vec<(usize, usize)> = suites
+    // One lane per scheme with and without the hardware swap, built once
+    // and run on the programs as written and compiler-swapped. Original
+    // without the swap on the programs as written is the baseline (the
+    // denominator).
+    let specs: Vec<(SteeringKind, bool)> = SteeringKind::FIGURE4
         .iter()
-        .enumerate()
-        .flat_map(|(s, _)| (0..workloads.len()).map(move |w| (s, w)))
+        .flat_map(|&kind| [(kind, false), (kind, true)])
         .collect();
-    let (ledgers, sweep_report) = map_indexed_timed(jobs, &cells, |_, &(s, w)| {
-        let spec = suites[s];
-        let workload = if spec.compiler_swapped {
-            &swapped[w]
-        } else {
-            &workloads[w]
-        };
-        let mut sim = Simulator::new(config.machine.clone(), make_scheme(spec.kind, spec.hw_swap));
-        let result = sim
-            .run_program(&workload.program, config.inst_limit)
-            .unwrap_or_else(|e| panic!("workload {} faulted: {e}", workload.name));
-        result.ledger
+    let lanes: Vec<SteeringConfig> = specs
+        .iter()
+        .map(|&(kind, hw_swap)| measured_scheme(config, profile, kind, hw_swap))
+        .collect();
+    let passes = [false, true].map(|compiler_swapped| Pass {
+        compiler_swapped,
+        lanes: lanes.clone(),
     });
-    report.merge(&sweep_report);
+    let (ledgers, report) = run_passes(config, workloads_for(unit, arena), &passes, jobs);
 
-    // Deterministic reduction: per suite, merge cell ledgers in workload
-    // order — the exact fold the serial loop performed.
-    let suite_ledger = |s: usize| {
-        let mut total = EnergyLedger::new();
-        for w in 0..workloads.len() {
-            total.merge(&ledgers[s * workloads.len() + w]);
-        }
-        total
+    let ledger = |compiler_swapped: bool, kind: SteeringKind, hw_swap: bool| {
+        let lane = specs.iter().position(|&s| s == (kind, hw_swap));
+        &ledgers[compiler_swapped as usize][lane.expect("every scheme has a lane")]
     };
-
-    let baseline = suite_ledger(0);
-    let base_bits = baseline.switched_bits(class);
-    let pct = |ledger: &EnergyLedger| {
-        if base_bits == 0 {
-            0.0
-        } else {
-            100.0 * (1.0 - ledger.switched_bits(class) as f64 / base_bits as f64)
-        }
-    };
-
-    let mut rows = Vec::new();
-    let mut next = 1; // suite 0 is the baseline
-    for kind in SteeringKind::FIGURE4 {
-        let base = if kind == SteeringKind::Original {
-            pct(&baseline)
-        } else {
-            let l = suite_ledger(next);
-            next += 1;
-            pct(&l)
-        };
-        let hardware = pct(&suite_ledger(next));
-        let compiler = pct(&suite_ledger(next + 1));
-        let compiler_only = pct(&suite_ledger(next + 2));
-        next += 3;
-        rows.push(Figure4Row {
+    let baseline = ledger(false, SteeringKind::Original, false);
+    let pct = |l: &EnergyLedger| reduction_pct(l, baseline, class);
+    let rows = SteeringKind::FIGURE4
+        .iter()
+        .map(|&kind| Figure4Row {
             scheme: kind.to_string(),
-            base_pct: base,
-            hardware_pct: hardware,
-            hardware_compiler_pct: compiler,
-            compiler_only_pct: compiler_only,
-        });
-    }
+            base_pct: pct(ledger(false, kind, false)),
+            hardware_pct: pct(ledger(false, kind, true)),
+            hardware_compiler_pct: pct(ledger(true, kind, true)),
+            compiler_only_pct: pct(ledger(true, kind, false)),
+        })
+        .collect();
 
     (
         Figure4 {
             unit,
             rows,
-            baseline_switched_bits: base_bits,
+            baseline_switched_bits: baseline.switched_bits(class),
         },
         report,
     )
@@ -322,26 +218,40 @@ pub struct Headline {
     pub ialu_compiler_pct: f64,
 }
 
-/// Computes the headline numbers from both Figure-4 runs (one shared
-/// profiling pass).
+/// Computes the headline numbers (one shared profiling pass).
 pub fn headline(config: &ExperimentConfig) -> Headline {
-    let profile = profile_suite(config);
-    headline_from(
-        &figure4_with_profile(Unit::Ialu, config, &profile),
-        &figure4_with_profile(Unit::Fpau, config, &profile),
-    )
+    headline_jobs(config, Jobs::serial())
 }
 
-/// As [`headline`], fanning the profiling pass and both figures' sweep
-/// cells out across `jobs` workers. The result is identical to the
-/// serial [`headline`] for any worker count.
+/// As [`headline`], fanning the profiling pass and the sweep cells out
+/// across `jobs` workers. Only the lanes the headline prints are run: the
+/// Original baseline and the 4-bit LUT with hardware swapping on each
+/// unit's programs as written, and the same LUT on the compiler-swapped
+/// integer programs. The numbers are bit-identical to
+/// [`headline_from`] over both full figures, for any worker count.
 pub fn headline_jobs(config: &ExperimentConfig, jobs: Jobs) -> Headline {
     let arena = WorkloadArena::build(config.scale);
     let (profile, _) = crate::profile_suite_jobs(config, &arena, jobs);
-    headline_from(
-        &figure4_with_profile_jobs(Unit::Ialu, config, &arena, &profile, jobs).0,
-        &figure4_with_profile_jobs(Unit::Fpau, config, &arena, &profile, jobs).0,
-    )
+    let baseline = measured_scheme(config, &profile, SteeringKind::Original, false);
+    let lut4 = measured_scheme(config, &profile, SteeringKind::Lut { slots: 2 }, true);
+    let plain = || Pass {
+        compiler_swapped: false,
+        lanes: vec![baseline.clone(), lut4.clone()],
+    };
+    let ialu_passes = [
+        plain(),
+        Pass {
+            compiler_swapped: true,
+            lanes: vec![lut4.clone()],
+        },
+    ];
+    let (ialu, _) = run_passes(config, arena.integer(), &ialu_passes, jobs);
+    let (fpau, _) = run_passes(config, arena.floating_point(), &[plain()], jobs);
+    Headline {
+        ialu_pct: reduction_pct(&ialu[0][1], &ialu[0][0], FuClass::IntAlu),
+        fpau_pct: reduction_pct(&fpau[0][1], &fpau[0][0], FuClass::FpAlu),
+        ialu_compiler_pct: reduction_pct(&ialu[1][0], &ialu[0][0], FuClass::IntAlu),
+    }
 }
 
 /// Derives the headline numbers from already-computed figures (`a` must

@@ -32,6 +32,7 @@ mod fig1;
 mod figure4;
 #[cfg(feature = "json")]
 mod json;
+mod lanes;
 mod observe;
 mod sensitivity;
 mod static_swap;
@@ -39,7 +40,7 @@ mod suite;
 mod synthesis;
 
 pub use breakdown::{workload_breakdown, BreakdownRow, WorkloadBreakdown};
-pub use chip::{chip_estimate, ChipEstimate, EXECUTION_UNIT_POWER_SHARE};
+pub use chip::{chip_estimate, chip_estimate_jobs, ChipEstimate, EXECUTION_UNIT_POWER_SHARE};
 pub use config::{ExperimentConfig, Unit};
 pub use fig1::{routing_example, RoutingExample};
 pub use figure4::{

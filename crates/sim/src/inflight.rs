@@ -15,6 +15,7 @@ use std::ops::{Deref, DerefMut};
 use fua_isa::{FuClass, Opcode, Word};
 use fua_vm::{FuOp, MemAccess};
 
+use crate::lane::{IssueGroup, Steered};
 use crate::MachineConfig;
 
 /// Sentinel for "no node" in the consumer linked lists.
@@ -78,12 +79,10 @@ pub(crate) struct InflightArena {
     // --- issue-stage scratch (reused every cycle) ---
     /// Selected age offsets per FU class.
     pub selected: [Vec<u32>; 4],
-    /// FU operations of the group being issued (post rule-swaps).
-    pub ops_scratch: Vec<FuOp>,
-    /// Case bits tracking `ops_scratch` through swaps.
-    pub bits_scratch: Vec<u8>,
-    /// Steering decisions for the group being issued.
-    pub choices_scratch: Vec<fua_steer::ModuleChoice>,
+    /// The group being issued, as steering sees it.
+    pub group_scratch: IssueGroup,
+    /// Lane 0's decisions for the group being issued (traced runs).
+    pub steered_scratch: Vec<Steered>,
 }
 
 fn dummy_fu() -> FuOp {
@@ -123,9 +122,8 @@ impl InflightArena {
             wheel: Vec::new(),
             wheel_mask: 0,
             selected: Default::default(),
-            ops_scratch: Vec::new(),
-            bits_scratch: Vec::new(),
-            choices_scratch: Vec::new(),
+            group_scratch: IssueGroup::default(),
+            steered_scratch: Vec::new(),
         }
     }
 
@@ -170,9 +168,8 @@ impl InflightArena {
         for sel in &mut self.selected {
             sel.clear();
         }
-        self.ops_scratch.clear();
-        self.bits_scratch.clear();
-        self.choices_scratch.clear();
+        self.group_scratch.clear();
+        self.steered_scratch.clear();
     }
 
     /// Leases an arena from the thread-local pool (or allocates a fresh

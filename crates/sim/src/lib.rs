@@ -12,6 +12,12 @@
 //! patterns (Tables 1/3) and switched capacitance per scheme (Figure 4) —
 //! are exactly the quantities the paper reports.
 //!
+//! Steering never changes when an instruction issues, so one timing pass
+//! can measure several schemes: [`Simulator::with_lanes`] steers every
+//! issue group under each configuration, and
+//! [`Simulator::run_program_lanes`] returns one [`SimResult`] per lane,
+//! each equal to a separate run's.
+//!
 //! # Examples
 //!
 //! ```
@@ -43,6 +49,7 @@
 mod cache;
 mod config;
 mod inflight;
+mod lane;
 mod pipeline;
 mod predictor;
 mod profiler;

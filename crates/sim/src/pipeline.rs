@@ -7,6 +7,8 @@
 //! by a completion calendar wheel, and branchless case computation from
 //! pre-decoded information bits. The arena is leased from a thread-local
 //! pool, so sweeps and bench suites reuse one allocation across runs.
+//! Issue is split in two: the timing half lives here, the steering half
+//! in `SteerLane`s (`lane.rs`), of which a run may carry several.
 //! `docs/PERFORMANCE.md` documents the layout and the measured effect;
 //! DESIGN.md §13 gives the soundness argument. The pre-rewrite engine
 //! survives as [`crate::ReferenceSimulator`], and the
@@ -16,18 +18,17 @@
 use std::time::Instant;
 
 use fua_isa::{Case, FuClass, Opcode, Program};
-use fua_power::booth::BoothModel;
-use fua_power::{EnergyLedger, ModulePorts};
-use fua_stats::{BitPatternProfiler, OccupancyProfiler};
+use fua_stats::OccupancyProfiler;
 use fua_trace::{NullSink, Stage, StallReason, SwapKind, TraceEvent, TraceSink};
 use fua_vm::{DynOp, Vm, VmError};
 
 use crate::inflight::{
     bit_clear, bit_get, bit_set, bit_shift_right, ArenaLease, InflightArena, NO_NODE,
 };
+use crate::lane::{OpMeta, SteerLane};
 use crate::{
     BimodalPredictor, BranchStats, CacheStats, DataCache, MachineConfig, NullProfiler,
-    PhaseProfiler, SimPhase, SimResult, SteeringConfig, SwapStats,
+    PhaseProfiler, SimPhase, SimResult, SteeringConfig,
 };
 
 /// Times `$body` and charges it to `$phase` — expands to bare `$body`
@@ -75,15 +76,14 @@ pub struct Simulator<S: TraceSink = NullSink, P: PhaseProfiler = NullProfiler> {
     sink: S,
     profiler: P,
     config: MachineConfig,
-    steering: SteeringConfig,
-    booth: BoothModel,
+    // Lane 0 drives the trace; the rest steer the same groups untraced.
+    lanes: Vec<SteerLane>,
 
     inflight: ArenaLease,
     window_len: usize,
     head_serial: u64,
     last_writer: [Option<u64>; 64],
     rs_used: [usize; 4],
-    ports: Vec<Vec<ModulePorts>>,
     predictor: BimodalPredictor,
     cache: DataCache,
 
@@ -96,11 +96,7 @@ pub struct Simulator<S: TraceSink = NullSink, P: PhaseProfiler = NullProfiler> {
     // dispatch because its reservation station was full.
     skid: Option<DynOp>,
 
-    ledger: EnergyLedger,
-    booth_energy: [f64; 4],
     occupancy: Vec<OccupancyProfiler>,
-    bit_patterns: Vec<BitPatternProfiler>,
-    swaps: SwapStats,
     branches: BranchStats,
 }
 
@@ -108,6 +104,27 @@ impl Simulator<NullSink> {
     /// Creates an untraced simulator for one run.
     pub fn new(config: MachineConfig, steering: SteeringConfig) -> Self {
         Simulator::with_sink(config, steering, NullSink)
+    }
+
+    /// Creates an untraced simulator that steers every issue group under
+    /// each configuration of `steering`, one *lane* each, over a single
+    /// timing pass. Steering never changes when an op issues or how long
+    /// it takes (DESIGN.md §13), so
+    /// [`run_program_lanes`](Simulator::run_program_lanes) returns, per
+    /// lane, exactly what a separate run under that configuration
+    /// returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `steering` is empty.
+    pub fn with_lanes(config: MachineConfig, steering: Vec<SteeringConfig>) -> Self {
+        let mut steering = steering.into_iter();
+        let first = steering.next().expect("at least one steering lane");
+        let mut sim = Simulator::new(config, first);
+        for lane in steering {
+            sim.lanes.push(SteerLane::new(&sim.config, lane));
+        }
+        sim
     }
 }
 
@@ -130,10 +147,7 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
         profiler: P,
     ) -> Self {
         config.validate();
-        let ports = FuClass::ALL
-            .iter()
-            .map(|c| vec![ModulePorts::new(); config.modules(*c)])
-            .collect();
+        let lanes = vec![SteerLane::new(&config, steering)];
         let occupancy = FuClass::ALL
             .iter()
             .map(|c| OccupancyProfiler::new(config.modules(*c)))
@@ -144,14 +158,12 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
             sink,
             profiler,
             config,
-            steering,
-            booth: BoothModel::new(),
+            lanes,
             inflight,
             window_len: 0,
             head_serial: 0,
             last_writer: [None; 64],
             rs_used: [0; 4],
-            ports,
             predictor: BimodalPredictor::new(4096),
             cache,
             cycle: 0,
@@ -159,11 +171,7 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
             fetch_resume_cycle: 0,
             fetch_blocked_by: None,
             skid: None,
-            ledger: EnergyLedger::new(),
-            booth_energy: [0.0; 4],
             occupancy,
-            bit_patterns: vec![BitPatternProfiler::new(); 4],
-            swaps: SwapStats::default(),
             branches: BranchStats::default(),
         }
     }
@@ -197,19 +205,27 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
     ///
     /// Propagates interpreter faults ([`VmError`]).
     pub fn run_program(&mut self, program: &Program, limit: u64) -> Result<SimResult, VmError> {
-        let mut vm = Vm::new(program);
-        let mut remaining = limit;
-        let result = self.run_source(|| {
-            if remaining == 0 {
-                return Ok(None);
-            }
-            remaining -= 1;
-            vm.step()
-        })?;
-        Ok(SimResult {
-            halted: vm.halted(),
-            ..result
-        })
+        let halted = self.run_vm(program, limit)?;
+        Ok(self.lane_result(0, halted))
+    }
+
+    /// As [`run_program`](Self::run_program), returning one result per
+    /// steering lane (see [`Simulator::with_lanes`]), lane 0 first. Each
+    /// equals what a single-lane run under that lane's configuration
+    /// returns.
+    ///
+    /// # Errors
+    ///
+    /// Propagates interpreter faults ([`VmError`]).
+    pub fn run_program_lanes(
+        &mut self,
+        program: &Program,
+        limit: u64,
+    ) -> Result<Vec<SimResult>, VmError> {
+        let halted = self.run_vm(program, limit)?;
+        Ok((0..self.lanes.len())
+            .map(|lane| self.lane_result(lane, halted))
+            .collect())
     }
 
     /// Runs a pre-materialised trace (useful for tests and property
@@ -217,13 +233,49 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
     pub fn run_trace(&mut self, ops: &[DynOp]) -> SimResult {
         let mut iter = ops.iter().copied();
         self.run_source(|| Ok(iter.next()))
-            .expect("a materialised trace cannot fault")
+            .expect("a materialised trace cannot fault");
+        self.lane_result(0, false)
+    }
+
+    /// Interprets `program` into the pipeline; returns whether it halted.
+    fn run_vm(&mut self, program: &Program, limit: u64) -> Result<bool, VmError> {
+        let mut vm = Vm::new(program);
+        let mut remaining = limit;
+        self.run_source(|| {
+            if remaining == 0 {
+                return Ok(None);
+            }
+            remaining -= 1;
+            vm.step()
+        })?;
+        Ok(vm.halted())
+    }
+
+    /// The timing outcome of the finished run, with `lane`'s steering
+    /// outcome.
+    fn lane_result(&self, lane: usize, halted: bool) -> SimResult {
+        let lane = &self.lanes[lane];
+        SimResult {
+            cycles: self.cycle,
+            retired: self.retired,
+            halted,
+            ledger: lane.ledger,
+            booth_energy: lane.booth_energy,
+            occupancy: self.occupancy.clone(),
+            bit_patterns: lane.bit_patterns.clone(),
+            swaps: lane.swaps,
+            branches: self.branches,
+            cache: CacheStats {
+                hits: self.cache.hits(),
+                misses: self.cache.misses(),
+            },
+        }
     }
 
     fn run_source(
         &mut self,
         mut next_op: impl FnMut() -> Result<Option<DynOp>, VmError>,
-    ) -> Result<SimResult, VmError> {
+    ) -> Result<(), VmError> {
         let mut source_done = false;
         let mut idle_cycles = 0u64;
         loop {
@@ -267,21 +319,7 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
                 idle_cycles = 0;
             }
         }
-        Ok(SimResult {
-            cycles: self.cycle,
-            retired: self.retired,
-            halted: false,
-            ledger: self.ledger,
-            booth_energy: self.booth_energy,
-            occupancy: self.occupancy.clone(),
-            bit_patterns: self.bit_patterns.clone(),
-            swaps: self.swaps,
-            branches: self.branches,
-            cache: CacheStats {
-                hits: self.cache.hits(),
-                misses: self.cache.misses(),
-            },
-        })
+        Ok(())
     }
 
     // --- wakeup ---
@@ -547,6 +585,10 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
         }
     }
 
+    /// Issues this cycle's selected group of `class`: every lane steers
+    /// it, lane 0 first, then each op
+    /// takes its latency, cache access and completion slot. Only the
+    /// trace events read lane 0's choices; the timing never does.
     fn issue_class(&mut self, class: FuClass) -> usize {
         let ci = class.index();
         let modules = self.config.modules(class);
@@ -561,116 +603,58 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
         let mask = self.inflight.mask;
         let slot_of = |offset: u32| ((head_serial + offset as u64) & mask) as usize;
 
-        // Build the FU operations, applying the static swap rules. The
-        // pre-decoded case bits track each op through every swap, so no
-        // operand word is re-inspected on this path.
-        let mut ops = std::mem::take(&mut self.inflight.ops_scratch);
-        let mut case_bits = std::mem::take(&mut self.inflight.bits_scratch);
-        ops.clear();
-        case_bits.clear();
+        // The group as steering sees it. Scratch buffers are arena-owned
+        // and reused every cycle, so steady-state issue stays
+        // allocation-free (the gate in tests/alloc_gate.rs).
+        let mut group = std::mem::take(&mut self.inflight.group_scratch);
+        group.clear();
         for &offset in &selected {
             let slot = slot_of(offset);
-            ops.push(self.inflight.fu[slot]);
-            case_bits.push(self.inflight.case_bits[slot]);
+            let fu = self.inflight.fu[slot];
+            let meta = OpMeta {
+                ones: [fu.op1.ones_fraction(), fu.op2.ones_fraction()],
+                case_bits: self.inflight.case_bits[slot],
+                is_mul: matches!(self.inflight.opcode[slot], Opcode::Mul | Opcode::FMul),
+            };
+            group.push(fu, meta);
         }
-        if let Some(rule) = self.steering.swap_rule(class) {
-            let target = rule.case().index() as u8;
-            for i in 0..ops.len() {
-                let op = &mut ops[i];
-                if op.commutative && case_bits[i] == target {
-                    *op = op.swapped();
-                    case_bits[i] = Case::swap_index(case_bits[i]);
-                    self.swaps.rule_swaps += 1;
-                    if S::ENABLED {
-                        let serial = self.inflight.serial[slot_of(selected[i])];
-                        self.sink.record(&TraceEvent::OperandSwap {
-                            cycle: self.cycle,
-                            serial,
-                            class,
-                            kind: SwapKind::Rule,
-                        });
-                    }
-                }
-            }
+        // Only the trace reads lane 0's decisions.
+        let mut steered = std::mem::take(&mut self.inflight.steered_scratch);
+        self.lanes[0].steer(
+            class,
+            &group.fus,
+            &group.meta,
+            S::ENABLED.then_some(&mut steered),
+            &mut self.profiler,
+        );
+        for lane in &mut self.lanes[1..] {
+            lane.steer(class, &group.fus, &group.meta, None, &mut NullProfiler);
         }
-        if matches!(class, FuClass::IntMul | FuClass::FpMul) {
-            if let Some(rule) = self.steering.multiplier_swap {
-                for i in 0..ops.len() {
-                    let slot = slot_of(selected[i]);
-                    let opcode = self.inflight.opcode[slot];
-                    if matches!(opcode, Opcode::Mul | Opcode::FMul) && rule.apply(&mut ops[i]) {
-                        case_bits[i] = Case::swap_index(case_bits[i]);
-                        self.swaps.multiplier_swaps += 1;
-                        if S::ENABLED {
-                            let serial = self.inflight.serial[slot];
-                            self.sink.record(&TraceEvent::OperandSwap {
-                                cycle: self.cycle,
-                                serial,
-                                class,
-                                kind: SwapKind::Multiplier,
-                            });
-                        }
-                    }
+        if S::ENABLED {
+            let kind = if matches!(class, FuClass::IntMul | FuClass::FpMul) {
+                SwapKind::Multiplier
+            } else {
+                SwapKind::Rule
+            };
+            for (i, s) in steered.iter().enumerate() {
+                if s.pre_swap {
+                    let serial = self.inflight.serial[slot_of(selected[i])];
+                    self.sink.record(&TraceEvent::OperandSwap {
+                        cycle: self.cycle,
+                        serial,
+                        class,
+                        kind,
+                    });
                 }
             }
         }
 
-        // Steer: duplicated classes consult the policy, single-module
-        // classes trivially use module 0. The choices buffer is arena
-        // scratch like `ops`: reused every cycle, so steady-state issue
-        // stays allocation-free (the gate in tests/alloc_gate.rs).
-        let mut choices = std::mem::take(&mut self.inflight.choices_scratch);
-        choices.clear();
-        if modules > 1 {
-            timed!(self, SimPhase::Steer, {
-                let policy = self
-                    .steering
-                    .policy_mut(class)
-                    .expect("duplicated classes have a policy");
-                policy.assign_into(&ops, &self.ports[ci], &mut choices);
-            })
-        } else {
-            choices.extend(ops.iter().map(|_| fua_steer::ModuleChoice {
-                module: 0,
-                swap: false,
-            }));
-        }
-        if cfg!(debug_assertions) {
-            fua_steer::validate_choices(&ops, modules, &choices);
-        }
-
-        // Latch, charge energy, schedule completion.
-        for (i, &choice) in choices.iter().enumerate() {
-            let mut op = ops[i];
-            let offset = selected[i] as usize;
-            let slot = slot_of(selected[i]);
-            // The case the steering policy saw (post rule-swap,
-            // pre policy-swap) — what a Steer trace event reports.
-            let steer_case = Case::from_index_masked(case_bits[i]);
-            if choice.swap {
-                debug_assert!(op.commutative);
-                op = op.swapped();
-                self.swaps.policy_swaps += 1;
-            }
-            let ports = &mut self.ports[ci][choice.module];
-            let bits = ports.latch(op.op1, op.op2);
-            self.ledger.charge(class, bits);
-            self.bit_patterns[ci].record(&op);
-
+        // Schedule completion.
+        for (i, &offset) in selected.iter().enumerate() {
+            let slot = slot_of(offset);
+            let offset = offset as usize;
             let opcode = self.inflight.opcode[slot];
             let serial = self.inflight.serial[slot];
-            let entry_pc = self.inflight.static_idx[slot];
-            if matches!(opcode, Opcode::Mul | Opcode::FMul) {
-                // Booth activity model (extension; see DESIGN.md). The
-                // latch already advanced, so reconstruct prev from cost.
-                self.booth_energy[ci] += self.booth.pp_weight
-                    * fua_power::booth::nonzero_booth_digits(
-                        fua_power::booth::significand(op.op2).0,
-                        fua_power::booth::significand(op.op2).1,
-                    ) as f64
-                    * op.op1.power_width() as f64
-                    + self.booth.sw_weight * bits as f64;
-            }
 
             let mut latency = self.config.latency(opcode);
             let mut cache_event = None;
@@ -712,7 +696,10 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
             }
 
             if S::ENABLED {
-                let module = choice.module as u8;
+                let s = steered[i];
+                let module = s.module;
+                let steer_case = Case::from_index_masked(s.steer_case);
+                let entry_pc = self.inflight.static_idx[slot];
                 self.sink.record(&TraceEvent::Stage {
                     stage: Stage::Issue,
                     cycle: self.cycle,
@@ -726,11 +713,11 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
                         class,
                         case: steer_case,
                         module,
-                        swap: choice.swap,
-                        cost_bits: bits,
+                        swap: s.policy_swap,
+                        cost_bits: s.bits,
                     });
                 }
-                if choice.swap {
+                if s.policy_swap {
                     self.sink.record(&TraceEvent::OperandSwap {
                         cycle: self.cycle,
                         serial,
@@ -745,7 +732,7 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
                     class,
                     module,
                     case: steer_case,
-                    bits,
+                    bits: s.bits,
                 });
                 self.sink.record(&TraceEvent::Stall {
                     cycle: self.cycle,
@@ -777,9 +764,8 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
         let issued = selected.len();
         // Return the scratch buffers (and their capacity) to the arena.
         self.inflight.selected[ci] = selected;
-        self.inflight.ops_scratch = ops;
-        self.inflight.bits_scratch = case_bits;
-        self.inflight.choices_scratch = choices;
+        self.inflight.group_scratch = group;
+        self.inflight.steered_scratch = steered;
         issued
     }
 

@@ -23,9 +23,9 @@ use fua_swap::MultiplierSwapRule;
 /// ```
 pub struct SteeringConfig {
     /// IALU steering policy.
-    pub ialu: Box<dyn SteeringPolicy + Send>,
+    pub ialu: Box<dyn SteeringPolicy>,
     /// FPAU steering policy.
-    pub fpau: Box<dyn SteeringPolicy + Send>,
+    pub fpau: Box<dyn SteeringPolicy>,
     /// Static hardware swap rule for the IALU (case 01 in the paper).
     pub ialu_swap: Option<HardwareSwapRule>,
     /// Static hardware swap rule for the FPAU (case 10 in the paper).
@@ -148,14 +148,23 @@ impl SteeringConfig {
     }
 
     /// The steering policy for a duplicated class.
-    pub(crate) fn policy_mut(
-        &mut self,
-        class: FuClass,
-    ) -> Option<&mut (dyn SteeringPolicy + Send)> {
+    pub(crate) fn policy_mut(&mut self, class: FuClass) -> Option<&mut dyn SteeringPolicy> {
         match class {
             FuClass::IntAlu => Some(self.ialu.as_mut()),
             FuClass::FpAlu => Some(self.fpau.as_mut()),
             _ => None,
+        }
+    }
+}
+
+impl Clone for SteeringConfig {
+    fn clone(&self) -> Self {
+        SteeringConfig {
+            ialu: self.ialu.boxed_clone(),
+            fpau: self.fpau.boxed_clone(),
+            ialu_swap: self.ialu_swap,
+            fpau_swap: self.fpau_swap,
+            multiplier_swap: self.multiplier_swap,
         }
     }
 }

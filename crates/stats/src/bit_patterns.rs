@@ -49,7 +49,7 @@ impl OperandInfoStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Bucket {
     count: u64,
     op1_ones: f64,
@@ -61,7 +61,7 @@ struct Bucket {
 /// One profiler covers one FU channel (e.g. all IALU operations, or all
 /// integer multiplies); keep separate profilers per channel as the paper's
 /// tables do.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BitPatternProfiler {
     // [case][commutative as usize]
     buckets: [[Bucket; 2]; 4],
@@ -79,15 +79,28 @@ impl BitPatternProfiler {
 
     /// Records one FU operation.
     pub fn record(&mut self, op: &FuOp) {
-        let case = op.case();
-        let b = &mut self.buckets[case.index()][op.commutative as usize];
+        self.record_parts(
+            op.case(),
+            op.commutative,
+            [op.op1.ones_fraction(), op.op2.ones_fraction()],
+        );
+    }
+
+    /// Records one FU operation from its parts: its case, whether it is
+    /// commutative, and each operand's [`Word::ones_fraction`]. Equal to
+    /// [`record`](Self::record) on the operation, bit for bit; for
+    /// callers that record the same operands many times.
+    ///
+    /// [`Word::ones_fraction`]: fua_isa::Word::ones_fraction
+    pub fn record_parts(&mut self, case: Case, commutative: bool, ones: [f64; 2]) {
+        let b = &mut self.buckets[case.index()][commutative as usize];
         b.count += 1;
-        b.op1_ones += op.op1.ones_fraction();
-        b.op2_ones += op.op2.ones_fraction();
-        for w in [op.op1, op.op2] {
-            let i = w.info_bit() as usize;
+        b.op1_ones += ones[0];
+        b.op2_ones += ones[1];
+        for (bit, fraction) in [(case.op1_bit(), ones[0]), (case.op2_bit(), ones[1])] {
+            let i = bit as usize;
             self.info_counts[i] += 1;
-            self.info_ones[i] += w.ones_fraction();
+            self.info_ones[i] += fraction;
         }
         self.total += 1;
     }

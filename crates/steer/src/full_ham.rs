@@ -77,6 +77,10 @@ impl SteeringPolicy for FullHamPolicy {
         "Full Ham"
     }
 
+    fn boxed_clone(&self) -> Box<dyn SteeringPolicy> {
+        Box::new(self.clone())
+    }
+
     fn assign_into(&mut self, ops: &[FuOp], modules: &[ModulePorts], out: &mut Vec<ModuleChoice>) {
         let m = modules.len();
         self.costs.clear();

@@ -78,7 +78,7 @@ pub fn make_policy(
     modules: usize,
     width: u32,
     allow_swap: bool,
-) -> Box<dyn SteeringPolicy + Send> {
+) -> Box<dyn SteeringPolicy> {
     match kind {
         SteeringKind::Original => Box::new(FcfsPolicy::new()),
         SteeringKind::FullHam => Box::new(FullHamPolicy::new(allow_swap)),

@@ -470,6 +470,10 @@ impl SteeringPolicy for LutPolicy {
         &self.name
     }
 
+    fn boxed_clone(&self) -> Box<dyn SteeringPolicy> {
+        Box::new(self.clone())
+    }
+
     fn assign_into(&mut self, ops: &[FuOp], modules: &[ModulePorts], out: &mut Vec<ModuleChoice>) {
         debug_assert!(ops.len() <= modules.len());
         self.cases.clear();

@@ -52,6 +52,10 @@ impl SteeringPolicy for OneBitHamPolicy {
         "1-bit Ham"
     }
 
+    fn boxed_clone(&self) -> Box<dyn SteeringPolicy> {
+        Box::new(self.clone())
+    }
+
     fn assign_into(&mut self, ops: &[FuOp], modules: &[ModulePorts], out: &mut Vec<ModuleChoice>) {
         let m = modules.len();
         self.prev_cases.clear();

@@ -18,7 +18,9 @@ pub struct ModuleChoice {
 /// The engine guarantees `ops.len() <= modules.len()`; implementations
 /// must return exactly one [`ModuleChoice`] per instruction, with distinct
 /// module indices, and may only set `swap` for commutative operations.
-pub trait SteeringPolicy {
+/// Policies are plain data (`Send + Sync`), so a sweep can share one
+/// built scheme across its workers and clone it per run.
+pub trait SteeringPolicy: Send + Sync {
     /// A short name for reports ("Original", "4-bit LUT", ...).
     fn name(&self) -> &str;
 
@@ -31,6 +33,10 @@ pub trait SteeringPolicy {
     /// heap allocations (the allocation gate enforces this for every
     /// workload × scheme).
     fn assign_into(&mut self, ops: &[FuOp], modules: &[ModulePorts], out: &mut Vec<ModuleChoice>);
+
+    /// A boxed copy of this policy, so a sweep can build a scheme (and
+    /// synthesise its tables) once and hand every run its own copy.
+    fn boxed_clone(&self) -> Box<dyn SteeringPolicy>;
 
     /// Allocating convenience wrapper around
     /// [`assign_into`](Self::assign_into) for one-shot callers (tests,
@@ -69,6 +75,10 @@ impl SteeringPolicy for FcfsPolicy {
             module: i,
             swap: false,
         }));
+    }
+
+    fn boxed_clone(&self) -> Box<dyn SteeringPolicy> {
+        Box::new(*self)
     }
 }
 

@@ -76,6 +76,16 @@ trap 'rm -rf "$tmpdir"' EXIT
   cmp cycles-serial.json cycles-parallel.json
 )
 
+# Chip-estimate determinism gate: the estimate's steering lanes fan out
+# per workload, and its stdout must be byte-identical between --jobs 1
+# and --jobs 4.
+(
+  cd "$tmpdir"
+  "$repo/target/release/fua" chip --jobs 1 > chip-serial.txt
+  "$repo/target/release/fua" chip --jobs 4 > chip-parallel.txt
+  cmp chip-serial.txt chip-parallel.txt
+)
+
 # Stall-partition gate: a BENCH artifact whose stall digest violates
 # the exact-partition invariant must fail the report gate.
 (

@@ -30,7 +30,8 @@ pub const PROFILE_DEFAULT_LIMIT: u64 = 25_000;
 pub struct Options {
     pub limit: Option<u64>,
     pub scale: u32,
-    pub jobs: Jobs,
+    /// `--jobs`, if given; see [`Options::jobs`].
+    pub jobs: Option<Jobs>,
     pub json: bool,
     pub metrics: bool,
     pub out: Option<String>,
@@ -55,6 +56,12 @@ pub struct Options {
 }
 
 impl Options {
+    /// Worker threads for a sweep: `--jobs`, or the available
+    /// parallelism.
+    pub fn jobs(&self) -> Jobs {
+        self.jobs.unwrap_or_else(Jobs::auto)
+    }
+
     /// Whether the command should read/write the run store (`--store`,
     /// or `--store-dir` which implies it).
     pub fn use_store(&self) -> bool {
@@ -238,11 +245,11 @@ pub fn help() {
          \x20                 {PROFILE_DEFAULT_LIMIT} for profile-energy/profile-cycles;\n\
          \x20                 quick-config 25000 for bench-suite/report)\n\
          \x20 --scale <N>     workload scale factor, default 1 [all simulating]\n\
-         \x20 --jobs <N>      worker threads for the sweep [figure4, headline,\n\
+         \x20 --jobs <N>      worker threads for the sweep [figure4, headline, chip,\n\
          \x20                 bench-suite, report, profile-energy, profile-cycles,\n\
-         \x20                 estimate]; default: available parallelism; 1 = serial\n\
-         \x20                 reference path. Output is byte-identical for every N —\n\
-         \x20                 parallelism only changes wall-clock\n\
+         \x20                 estimate]; default: available parallelism (chip: 1);\n\
+         \x20                 1 = serial reference path. Output is byte-identical for\n\
+         \x20                 every N — parallelism only changes wall-clock\n\
          \x20 --json          emit machine-readable JSON instead of tables\n\
          \x20                 [figure4, headline, fig1, synth, chip, breakdown,\n\
          \x20                 sensitivity, staticswap, run, profile-energy,\n\
@@ -324,7 +331,7 @@ pub fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         limit: None,
         scale: 1,
-        jobs: Jobs::auto(),
+        jobs: None,
         json: false,
         metrics: false,
         out: None,
@@ -361,7 +368,7 @@ pub fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--jobs" => {
                 let v = it.next().ok_or("--jobs needs a value")?;
-                opts.jobs = v.parse().map_err(|e| format!("--jobs: {e}"))?;
+                opts.jobs = Some(v.parse().map_err(|e| format!("--jobs: {e}"))?);
             }
             "--json" => opts.json = true,
             "--metrics" => opts.metrics = true,

@@ -32,8 +32,9 @@
 //!                           `profile-cycles`)
 //!          --scale <N>      workload scale factor (default 1)
 //!          --jobs <N>       worker threads for the parallel sweeps
-//!                           (figure4/headline/bench-suite/report;
-//!                           default: available parallelism; 1 = serial)
+//!                           (figure4/headline/chip/bench-suite/report;
+//!                           default: available parallelism, chip 1;
+//!                           1 = serial)
 //!          --json           emit machine-readable JSON instead of tables
 //!          --metrics        print a metrics snapshot (run/figure4/headline/trace)
 //!          --out <FILE>     write Chrome trace-event JSON (trace only)
@@ -81,7 +82,7 @@ use cli::{
     unknown_workload, usage, Cmd, Options, StoreAction, DEFAULT_LIMIT, PROFILE_DEFAULT_LIMIT,
 };
 use fua::core::{
-    chip_estimate, figure4_jobs, headline_jobs, profile_suite, routing_example,
+    chip_estimate_jobs, figure4_jobs, headline_jobs, profile_suite, routing_example,
     static_swap_comparison, swap_sensitivity, synthesis_report, workload_breakdown, Unit,
 };
 use fua::exec::{enable_heartbeat, heartbeat_stage};
@@ -94,6 +95,7 @@ use fua::sim::{MachineConfig, Simulator, SteeringConfig};
 use fua::stats::TextTable;
 use fua::steer::SteeringKind;
 use fua::store::{IndexEntry, Store};
+use fua::workloads::WorkloadArena;
 
 // With `--features harness-obs` every allocation in the binary routes
 // through the counting wrapper, so `harness-report` and the BENCH
@@ -203,7 +205,7 @@ fn emit_with_metrics<T>(
 fn cmd_figure4(unit: Unit, opts: &Options) {
     let cfg = config(opts);
     heartbeat_stage("figure4: scheme sweep");
-    let fig = figure4_jobs(unit, &cfg, opts.jobs);
+    let fig = figure4_jobs(unit, &cfg, opts.jobs());
     let rendered = fig.render();
     #[cfg(feature = "trace")]
     if opts.metrics {
@@ -217,7 +219,7 @@ fn cmd_figure4(unit: Unit, opts: &Options) {
 fn cmd_headline(opts: &Options) {
     let cfg = config(opts);
     heartbeat_stage("headline: scheme sweeps");
-    let h = headline_jobs(&cfg, opts.jobs);
+    let h = headline_jobs(&cfg, opts.jobs());
     let rendered = format!(
         "IALU 4-bit LUT + hw swap:            {:>6.1}%   (paper ~17%)\n\
          FPAU 4-bit LUT + hw swap:            {:>6.1}%   (paper ~18%)\n\
@@ -767,10 +769,10 @@ fn cmd_profile_energy(name: &str, opts: &Options) -> Result<(), String> {
             scheme_a.label(),
             scheme_b.label(),
             workloads.len(),
-            opts.jobs
+            opts.jobs()
         );
-        let runs_a = attribute_suite(&workloads, scheme_a, limit, opts.jobs);
-        let runs_b = attribute_suite(&workloads, scheme_b, limit, opts.jobs);
+        let runs_a = attribute_suite(&workloads, scheme_a, limit, opts.jobs());
+        let runs_b = attribute_suite(&workloads, scheme_b, limit, opts.jobs());
         verify_exact(&runs_a)?;
         verify_exact(&runs_b)?;
         let diffs: Vec<AttributionDiff> = runs_a
@@ -858,9 +860,9 @@ fn cmd_profile_energy(name: &str, opts: &Options) -> Result<(), String> {
         "profile-energy: attributing {} workload(s) under {} (limit {limit}, {} job(s))",
         workloads.len(),
         scheme.label(),
-        opts.jobs
+        opts.jobs()
     );
-    let runs = attribute_suite(&workloads, scheme, limit, opts.jobs);
+    let runs = attribute_suite(&workloads, scheme, limit, opts.jobs());
     verify_exact(&runs)?;
 
     if opts.json {
@@ -1121,10 +1123,10 @@ fn cmd_profile_cycles(name: &str, opts: &Options) -> Result<(), String> {
             scheme_a.label(),
             scheme_b.label(),
             workloads.len(),
-            opts.jobs
+            opts.jobs()
         );
-        let runs_a = profile_cycles_suite(&workloads, scheme_a, limit, opts.jobs);
-        let runs_b = profile_cycles_suite(&workloads, scheme_b, limit, opts.jobs);
+        let runs_a = profile_cycles_suite(&workloads, scheme_a, limit, opts.jobs());
+        let runs_b = profile_cycles_suite(&workloads, scheme_b, limit, opts.jobs());
         verify_cycles_exact(&runs_a)?;
         verify_cycles_exact(&runs_b)?;
 
@@ -1228,9 +1230,9 @@ fn cmd_profile_cycles(name: &str, opts: &Options) -> Result<(), String> {
         "profile-cycles: attributing {} workload(s) under {} (limit {limit}, {} job(s))",
         workloads.len(),
         scheme.label(),
-        opts.jobs
+        opts.jobs()
     );
-    let runs = profile_cycles_suite(&workloads, scheme, limit, opts.jobs);
+    let runs = profile_cycles_suite(&workloads, scheme, limit, opts.jobs());
     verify_cycles_exact(&runs)?;
 
     if opts.json {
@@ -1480,11 +1482,11 @@ fn cmd_estimate_verify(
          {} workload(s) x {} scheme(s) (limit {limit}, {} job(s))",
         workloads.len(),
         schemes.len(),
-        opts.jobs
+        opts.jobs()
     );
     let mut checks: Vec<EstimateCheck> = Vec::new();
     for &scheme in &schemes {
-        checks.extend(check_suite(workloads, scheme, limit, opts.jobs));
+        checks.extend(check_suite(workloads, scheme, limit, opts.jobs()));
     }
     let violations: usize = checks.iter().map(|c| c.violations.len()).sum();
 
@@ -1562,10 +1564,10 @@ fn cmd_estimate(name: &str, opts: &Options) -> Result<(), String> {
             workloads.len(),
             scheme_a.label(),
             scheme_b.label(),
-            opts.jobs
+            opts.jobs()
         );
         let ests: Vec<(String, TransitionEstimate, TransitionEstimate)> =
-            map_indexed(opts.jobs, &workloads, |_, w| {
+            map_indexed(opts.jobs(), &workloads, |_, w| {
                 (
                     w.name.to_string(),
                     estimate_transitions(&w.program, scheme_a.swap_model()),
@@ -1621,9 +1623,9 @@ fn cmd_estimate(name: &str, opts: &Options) -> Result<(), String> {
         workloads.len(),
         scheme.label(),
         model_name(model),
-        opts.jobs
+        opts.jobs()
     );
-    let ests: Vec<(String, TransitionEstimate)> = map_indexed(opts.jobs, &workloads, |_, w| {
+    let ests: Vec<(String, TransitionEstimate)> = map_indexed(opts.jobs(), &workloads, |_, w| {
         (w.name.to_string(), estimate_transitions(&w.program, model))
     });
 
@@ -1683,10 +1685,13 @@ fn cmd_bench_suite(opts: &Options) -> Result<(), String> {
     eprintln!(
         "bench-suite: measuring quick suite (scale {}, limit {}, window {} cycles, \
          {} job(s)) ...",
-        cfg.scale, cfg.inst_limit, window, opts.jobs
+        cfg.scale,
+        cfg.inst_limit,
+        window,
+        opts.jobs()
     );
     heartbeat_stage("bench-suite: measuring");
-    let report = bench_suite_jobs(tag, &cfg, window, opts.jobs);
+    let report = bench_suite_jobs(tag, &cfg, window, opts.jobs());
     heartbeat_stage("bench-suite: writing artifact");
     let mut rendered = report.to_json().pretty();
     rendered.push('\n');
@@ -1816,10 +1821,12 @@ fn cmd_report(opts: &Options) -> Result<bool, String> {
                 eprintln!(
                     "report: no --current given; running a fresh bench-suite \
                      (scale {}, limit {}, {} job(s)) ...",
-                    cfg.scale, cfg.inst_limit, opts.jobs
+                    cfg.scale,
+                    cfg.inst_limit,
+                    opts.jobs()
                 );
                 heartbeat_stage("report: fresh bench-suite");
-                bench_suite_jobs("current", &cfg, window, opts.jobs)
+                bench_suite_jobs("current", &cfg, window, opts.jobs())
             }
         };
         (baseline, current)
@@ -2009,7 +2016,7 @@ fn cmd_harness_report(opts: &Options) -> Result<(), String> {
         workloads.len(),
         cfg.scale,
         cfg.inst_limit,
-        opts.jobs
+        opts.jobs()
     );
     fua::obs::enable_spans();
 
@@ -2029,7 +2036,7 @@ fn cmd_harness_report(opts: &Options) -> Result<(), String> {
     heartbeat_stage("harness-report: parallel sweep");
     let arena_before = fua::obs::arena_counters();
     let (parallel_cells, parallel_exec) =
-        fua::exec::map_indexed_timed(opts.jobs, &workloads, |_, w| {
+        fua::exec::map_indexed_timed(opts.jobs(), &workloads, |_, w| {
             harness_cell(w, &cfg.machine, cfg.inst_limit)
         });
     let parallel_arena = fua::obs::arena_counters().delta(&arena_before);
@@ -2270,7 +2277,14 @@ fn main() -> ExitCode {
             emit(&report, rendered, opts.json);
         }
         Cmd::Chip => {
-            let est = chip_estimate(&config(&opts));
+            let cfg = config(&opts);
+            heartbeat_stage("chip: steering lanes");
+            let arena = WorkloadArena::build(cfg.scale);
+            // Serial unless asked: every worker holds a kernel's VM and
+            // pipeline state, so a default fan-out would raise the peak
+            // memory of a cheap command with the core count.
+            let jobs = opts.jobs.unwrap_or_else(fua::exec::Jobs::serial);
+            let (est, _) = chip_estimate_jobs(&cfg, &arena, jobs);
             let rendered = est.render();
             emit(&est, rendered, opts.json);
         }

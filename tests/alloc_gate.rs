@@ -2,7 +2,8 @@
 //! every lazily-sized structure (the inflight arena pool, event-wheel
 //! buckets, steering tables), the untraced hot loop must allocate
 //! **zero** bytes per simulated cycle, for every workload under every
-//! Figure-4 scheme.
+//! Figure-4 scheme, and for every workload's multi-lane run that steers
+//! all of them at once.
 //!
 //! Methodology: heap traffic of a run is `constant per-run setup +
 //! per-cycle cost × cycles`. After warmup at the *longer* limit, a run
@@ -36,13 +37,32 @@ fn run(w: &fua::workloads::Workload, kind: SteeringKind, limit: u64) -> u64 {
         .cycles
 }
 
-/// Allocation events performed by one run.
-fn measured_allocs(w: &fua::workloads::Workload, kind: SteeringKind, limit: u64) -> u64 {
+/// One timing pass of `w` steering every Figure-4 scheme, with and
+/// without the hardware swap, as lanes — how the sweeps run it. The
+/// lanes are built inside the measurement window, like [`run`]'s scheme.
+fn run_lanes(w: &fua::workloads::Workload, limit: u64) -> u64 {
+    let lanes = SteeringKind::FIGURE4
+        .iter()
+        .flat_map(|&kind| [false, true].map(|hw| SteeringConfig::paper_scheme(kind, hw)))
+        .collect();
+    let results = Simulator::with_lanes(MachineConfig::paper_default(), lanes)
+        .run_program_lanes(&w.program, limit)
+        .unwrap_or_else(|e| panic!("workload {} faulted with lanes: {e}", w.name));
+    results[0].cycles
+}
+
+/// Allocation events performed by `run`.
+fn allocs_of(w: &fua::workloads::Workload, run: impl FnOnce() -> u64) -> u64 {
     let before = fua::obs::alloc_snapshot();
-    let cycles = run(w, kind, limit);
+    let cycles = run();
     let delta = fua::obs::alloc_snapshot().delta(&before);
     assert!(cycles > 0, "workload {} simulated no cycles", w.name);
     delta.allocs
+}
+
+/// Allocation events performed by one run.
+fn measured_allocs(w: &fua::workloads::Workload, kind: SteeringKind, limit: u64) -> u64 {
+    allocs_of(w, || run(w, kind, limit))
 }
 
 #[test]
@@ -81,10 +101,28 @@ fn the_steady_state_hot_loop_allocates_nothing_per_cycle() {
             );
             checked += 1;
         }
+        // The same for a multi-lane run: steering every issue group in
+        // the extra lanes must allocate nothing per cycle either.
+        run_lanes(w, 2 * LIMIT);
+        let short = allocs_of(w, || run_lanes(w, LIMIT));
+        let long = allocs_of(w, || run_lanes(w, 2 * LIMIT));
+        assert_eq!(
+            short,
+            long,
+            "workload {} with 12 steering lanes: a {}-instruction run allocated {} \
+             event(s), a {}-instruction run {} — the difference is per-cycle \
+             allocation in the extra steering lanes",
+            w.name,
+            LIMIT,
+            short,
+            2 * LIMIT,
+            long
+        );
+        checked += 1;
     }
     assert_eq!(
         checked,
-        workloads.len() as u32 * SteeringKind::FIGURE4.len() as u32,
-        "every workload x scheme cell must be gated"
+        workloads.len() as u32 * (SteeringKind::FIGURE4.len() as u32 + 1),
+        "every workload x scheme cell, and every workload's multi-lane run, must be gated"
     );
 }

@@ -2,7 +2,8 @@
 //! reduced experiment scale (absolute magnitudes are workload-dependent
 //! and recorded in EXPERIMENTS.md; ordering and sign are the invariants).
 
-use fua::core::{figure4, ExperimentConfig, Unit};
+use fua::core::{figure4, headline_from, headline_jobs, ExperimentConfig, Unit};
+use fua::exec::Jobs;
 
 fn config() -> ExperimentConfig {
     ExperimentConfig {
@@ -79,4 +80,24 @@ fn fpau_hardware_swapping_is_ineffective() {
         "FPAU hw swap should be near-neutral, got {delta:+.1} points"
     );
     assert!(row.base_pct > 2.0, "FPAU steering itself must save energy");
+}
+
+#[test]
+fn headline_jobs_equals_the_headline_of_both_full_figures() {
+    // `headline_jobs` runs only the lanes it prints; the numbers must be
+    // the full figures' cells, bit for bit.
+    let config = ExperimentConfig {
+        inst_limit: 10_000,
+        ..ExperimentConfig::full()
+    };
+    let full = headline_from(&figure4(Unit::Ialu, &config), &figure4(Unit::Fpau, &config));
+    for jobs in [Jobs::serial(), Jobs::new(2).unwrap()] {
+        let lanes = headline_jobs(&config, jobs);
+        assert_eq!(lanes.ialu_pct.to_bits(), full.ialu_pct.to_bits());
+        assert_eq!(lanes.fpau_pct.to_bits(), full.fpau_pct.to_bits());
+        assert_eq!(
+            lanes.ialu_compiler_pct.to_bits(),
+            full.ialu_compiler_pct.to_bits()
+        );
+    }
 }

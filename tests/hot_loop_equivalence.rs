@@ -18,10 +18,15 @@
 //! is derived from the events; the [`StallSink`] digest is compared too
 //! so a failure prints a readable per-site diff instead of a giant
 //! event-vector dump.
+//!
+//! The lane tests pin the other half of the engine: one timing pass that
+//! steers many configurations ([`Simulator::with_lanes`]) must give every
+//! lane exactly the result of its own single-lane run.
 
-use fua::sim::{MachineConfig, ReferenceSimulator, Simulator, SteeringConfig};
+use fua::isa::Program;
+use fua::sim::{MachineConfig, ReferenceSimulator, SimResult, Simulator, SteeringConfig};
 use fua::steer::SteeringKind;
-use fua::swap::MultiplierSwapRule;
+use fua::swap::{CompilerSwapPass, MultiplierSwapRule};
 use fua::trace::{StallSink, TraceEvent, VecSink};
 use fua::workloads::all;
 
@@ -94,6 +99,15 @@ fn assert_equivalent(tag: &str, new: &Outcome, reference: &Outcome) {
     assert_eq!(new_result.retired, ref_result.retired, "{tag}: retired");
     assert_eq!(new_result.halted, ref_result.halted, "{tag}: halted");
     assert_eq!(new_result.ledger, ref_result.ledger, "{tag}: energy ledger");
+    assert_eq!(
+        new_result.bit_patterns, ref_result.bit_patterns,
+        "{tag}: issued bit patterns"
+    );
+    assert_eq!(
+        new_result.booth_energy.map(f64::to_bits),
+        ref_result.booth_energy.map(f64::to_bits),
+        "{tag}: Booth energy"
+    );
     assert_eq!(new_result.swaps, ref_result.swaps, "{tag}: swap counters");
     assert_eq!(
         new_result.branches, ref_result.branches,
@@ -182,5 +196,87 @@ fn rewrite_matches_reference_in_order() {
         let new = run_new(&config, SteeringConfig::original(), &w);
         let reference = run_reference(&config, SteeringConfig::original(), &w);
         assert_equivalent(&format!("{}/in_order", w.name), &new, &reference);
+    }
+}
+
+/// The lanes of the Figure-4 sweep (every scheme with and without the
+/// hardware swap), plus a multiplier-swap lane.
+fn lane_schemes() -> Vec<SteeringConfig> {
+    let mut out: Vec<SteeringConfig> = SteeringKind::FIGURE4
+        .iter()
+        .flat_map(|&kind| [false, true].map(|hw| SteeringConfig::paper_scheme(kind, hw)))
+        .collect();
+    out.push(
+        SteeringConfig::paper_scheme(SteeringKind::Lut { slots: 2 }, true)
+            .with_multiplier_swap(MultiplierSwapRule::new()),
+    );
+    out
+}
+
+fn assert_same_result(tag: &str, lane: &SimResult, single: &SimResult) {
+    assert_eq!(lane.cycles, single.cycles, "{tag}: cycles");
+    assert_eq!(lane.retired, single.retired, "{tag}: retired");
+    assert_eq!(lane.halted, single.halted, "{tag}: halted");
+    assert_eq!(lane.ledger, single.ledger, "{tag}: energy ledger");
+    assert_eq!(
+        lane.bit_patterns, single.bit_patterns,
+        "{tag}: bit patterns"
+    );
+    assert_eq!(lane.swaps, single.swaps, "{tag}: swap counters");
+    assert_eq!(
+        lane.booth_energy.map(f64::to_bits),
+        single.booth_energy.map(f64::to_bits),
+        "{tag}: Booth energy"
+    );
+    assert_eq!(lane.occupancy, single.occupancy, "{tag}: occupancy");
+    assert_eq!(lane.branches, single.branches, "{tag}: branch stats");
+    assert_eq!(lane.cache, single.cache, "{tag}: cache stats");
+}
+
+/// Runs `program` once with every lane of [`lane_schemes`] and checks
+/// each lane against a separate single-lane run of its configuration.
+fn assert_lanes_match(tag: &str, config: &MachineConfig, program: &Program) {
+    let lanes = Simulator::with_lanes(config.clone(), lane_schemes())
+        .run_program_lanes(program, LIMIT)
+        .unwrap_or_else(|e| panic!("{tag}: multi-lane run faulted: {e}"));
+    assert_eq!(
+        lanes.len(),
+        lane_schemes().len(),
+        "{tag}: one result per lane"
+    );
+    for (i, (lane, scheme)) in lanes.iter().zip(lane_schemes()).enumerate() {
+        let single = Simulator::new(config.clone(), scheme)
+            .run_program(program, LIMIT)
+            .unwrap_or_else(|e| panic!("{tag}: single run faulted: {e}"));
+        assert_same_result(&format!("{tag}/lane {i}"), lane, &single);
+    }
+}
+
+#[test]
+fn every_lane_matches_its_own_run_for_every_workload_and_program_variant() {
+    let config = MachineConfig::paper_default();
+    for w in all(1) {
+        let swapped = CompilerSwapPass::with_limit(LIMIT)
+            .run(&w.program)
+            .unwrap_or_else(|e| panic!("{}: swap pass faulted: {e}", w.name))
+            .program;
+        assert_lanes_match(&format!("{}/original", w.name), &config, &w.program);
+        assert_lanes_match(&format!("{}/compiler-swapped", w.name), &config, &swapped);
+    }
+}
+
+#[test]
+fn every_lane_matches_its_own_run_on_narrow_and_in_order_machines() {
+    let mut narrow = MachineConfig::paper_default();
+    narrow.fetch_width = 2;
+    narrow.commit_width = 2;
+    narrow.rob_size = 8;
+    narrow.rs_entries = 2;
+    narrow.mem_ports = 1;
+    let mut in_order = MachineConfig::paper_default();
+    in_order.in_order_issue = true;
+    for w in all(1) {
+        assert_lanes_match(&format!("{}/narrow", w.name), &narrow, &w.program);
+        assert_lanes_match(&format!("{}/in_order", w.name), &in_order, &w.program);
     }
 }

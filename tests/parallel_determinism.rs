@@ -93,10 +93,18 @@ fn the_parallel_section_records_the_fan_out() {
     assert_eq!(p.jobs, 2);
     assert!(p.wall_nanos > 0, "wall-clock must be recorded");
     let cells: u64 = p.workers.iter().map(|w| w.cells).sum();
-    // 15 profiling runs + 2 units × (swap pass + scheme sweep) +
-    // 15 telemetry runs — the exact count is an implementation detail,
-    // but every stage must be accounted for.
-    assert!(cells > 100, "only {cells} cells accounted for");
+    // Every stage must be accounted for: one profiling run per workload,
+    // one Figure-4 cell per (workload, program variant) of each unit
+    // (each cell steers all schemes in one timing pass), then one
+    // telemetry run and one rate run per workload.
+    let arena = fua::workloads::WorkloadArena::build(1);
+    let suite = arena.all().len() as u64;
+    let figure4 = 2 * (arena.integer().len() + arena.floating_point().len()) as u64;
+    assert_eq!(
+        cells,
+        suite + figure4 + suite + suite,
+        "{cells} cells accounted for"
+    );
 }
 
 #[test]
