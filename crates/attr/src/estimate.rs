@@ -10,11 +10,12 @@
 
 use std::collections::BTreeMap;
 
-use fua_analysis::{estimate_transitions, TransitionEstimate};
+use fua_analysis::{estimate_transitions, SwapModel, TransitionEstimate};
 use fua_exec::{map_indexed, Jobs};
 use fua_workloads::Workload;
 
-use crate::{attribute_workload, EnergyAttribution, Scheme};
+use crate::run::{attribute_schemes, by_scheme};
+use crate::{EnergyAttribution, Scheme};
 
 /// One soundness violation: a PC whose measured switched bits exceed
 /// the static bound.
@@ -132,11 +133,34 @@ pub fn check_attribution(est: &TransitionEstimate, attr: &EnergyAttribution) -> 
 }
 
 /// Estimates `w` under `scheme`'s swap model, runs the exact dynamic
-/// attribution, and joins the two.
+/// attribution, and joins the two: a one-scheme `check_schemes`.
 pub fn check_workload(w: &Workload, scheme: Scheme, limit: u64) -> EstimateCheck {
-    let est = estimate_transitions(&w.program, scheme.swap_model());
-    let run = attribute_workload(w, scheme, limit);
-    check_attribution(&est, &run.attribution)
+    let mut checks = check_schemes(w, &[scheme], limit);
+    checks.pop().expect("one scheme, one check")
+}
+
+/// Checks `w` under every scheme of `schemes` from one timing pass
+/// ([`attribute_schemes`]) and one static estimate per swap model the
+/// schemes need. One check per scheme, in the order of `schemes`.
+fn check_schemes(w: &Workload, schemes: &[Scheme], limit: u64) -> Vec<EstimateCheck> {
+    // The estimate depends only on the program and the swap model.
+    let mut estimates: Vec<(SwapModel, TransitionEstimate)> = Vec::new();
+    for model in schemes.iter().map(|s| s.swap_model()) {
+        if estimates.iter().all(|(m, _)| *m != model) {
+            estimates.push((model, estimate_transitions(&w.program, model)));
+        }
+    }
+    schemes
+        .iter()
+        .zip(attribute_schemes(w, schemes, limit))
+        .map(|(scheme, run)| {
+            let (_, est) = estimates
+                .iter()
+                .find(|(m, _)| *m == scheme.swap_model())
+                .expect("every model was estimated above");
+            check_attribution(est, &run.attribution)
+        })
+        .collect()
 }
 
 /// Checks every workload under `scheme`, fanning out across `jobs`
@@ -151,10 +175,27 @@ pub fn check_suite(
     map_indexed(jobs, workloads, |_, w| check_workload(w, scheme, limit))
 }
 
+/// Checks every workload under every scheme of `schemes`, one timing
+/// pass per workload and one static estimate per swap model, fanning
+/// the workloads out
+/// across `jobs` workers. Returns one list per scheme, in the order of
+/// `schemes`, each equal to [`check_suite`] under that scheme.
+pub fn check_suite_schemes(
+    workloads: &[Workload],
+    schemes: &[Scheme],
+    limit: u64,
+    jobs: Jobs,
+) -> Vec<Vec<EstimateCheck>> {
+    by_scheme(
+        map_indexed(jobs, workloads, |_, w| check_schemes(w, schemes, limit)),
+        schemes.len(),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fua_analysis::SwapModel;
+    use crate::attribute_workload;
 
     #[test]
     fn compress_bounds_dominate_measurement_under_every_scheme() {

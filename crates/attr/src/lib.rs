@@ -28,7 +28,10 @@
 //!   by PC and reports where one steering [`Scheme`] saves or loses
 //!   energy, per module and per steering case;
 //! * [`attribute_suite`] fans the whole workload suite out across a
-//!   deterministic [`fua_exec`] worker pool;
+//!   deterministic [`fua_exec`] worker pool, and
+//!   [`attribute_suite_schemes`] attributes several schemes from one
+//!   timing pass per workload, each lane counting its charges in a
+//!   [`SiteTable`](fua_sim::SiteTable) instead of a trace sink;
 //! * [`CycleAttribution`] answers the sibling question — *where do the
 //!   cycles go?* — by resolving the stall-slot partition (every issue
 //!   slot of every cycle in exactly one taxonomy bucket) against the
@@ -63,7 +66,14 @@ pub use cycles::{
     CycleAttribution, CycleProfiledRun, JointRow, StallHotspot, StallRow,
 };
 pub use diff::{case_labels, AttributionDiff, ClassDelta, PcDelta};
-pub use estimate::{check_attribution, check_suite, check_workload, BoundViolation, EstimateCheck};
+pub use estimate::{
+    check_attribution, check_suite, check_suite_schemes, check_workload, BoundViolation,
+    EstimateCheck,
+};
+pub use fua_sim::{SiteKey, SiteStat};
 pub use profile::{EnergyAttribution, Hotspot, SiteRow, MAX_MODULES};
-pub use run::{attribute_suite, attribute_with_config, attribute_workload, AttributedRun, Scheme};
-pub use sink::{AttributionSink, SiteKey, SiteStat};
+pub use run::{
+    attribute_lanes, attribute_suite, attribute_suite_schemes, attribute_with_config,
+    attribute_workload, AttributedRun, Scheme,
+};
+pub use sink::AttributionSink;

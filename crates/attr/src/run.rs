@@ -125,8 +125,8 @@ impl AttributedRun {
     }
 }
 
-/// Runs one workload under `scheme` with an [`AttributionSink`] attached
-/// and resolves the sites against the workload's CFG.
+/// Runs one workload under `scheme` and resolves the sites against the
+/// workload's CFG: a one-lane [`attribute_lanes`].
 ///
 /// # Panics
 ///
@@ -135,9 +135,9 @@ pub fn attribute_workload(w: &Workload, scheme: Scheme, limit: u64) -> Attribute
     attribute_with_config(w, scheme.config(), scheme.label(), limit)
 }
 
-/// Runs one workload under an arbitrary steering configuration. The
-/// estimator soundness tests use this to cover the swap-disabled
-/// variants no named [`Scheme`] exposes.
+/// Runs one workload under an arbitrary steering configuration: a
+/// one-lane [`attribute_lanes`]. The estimator soundness tests use this
+/// to cover the swap-disabled variants no named [`Scheme`] exposes.
 ///
 /// # Panics
 ///
@@ -148,20 +148,59 @@ pub fn attribute_with_config(
     label: &str,
     limit: u64,
 ) -> AttributedRun {
-    let mut sim = Simulator::with_sink(
-        MachineConfig::paper_default(),
-        config,
-        AttributionSink::new(),
-    );
-    let result = sim
-        .run_program(&w.program, limit)
+    let mut runs = attribute_lanes(w, [(config, label)], limit);
+    runs.pop().expect("one lane, one run")
+}
+
+/// Runs one workload once, steering it under every `(configuration,
+/// label)` of `lanes` over the same timing pass, and attributes each
+/// lane's energy from the [`SiteTable`](fua_sim::SiteTable) it kept.
+/// Steering never changes the schedule (DESIGN.md §13), so each run
+/// equals a separate run of its configuration with an
+/// [`AttributionSink`] attached, in the order of `lanes`.
+///
+/// # Panics
+///
+/// Panics if `lanes` is empty or the workload program faults (workload
+/// kernels never do).
+pub fn attribute_lanes<'a>(
+    w: &Workload,
+    lanes: impl IntoIterator<Item = (SteeringConfig, &'a str)>,
+    limit: u64,
+) -> Vec<AttributedRun> {
+    let (configs, labels): (Vec<_>, Vec<_>) = lanes.into_iter().unzip();
+    let mut sim = Simulator::with_lanes(MachineConfig::paper_default(), configs).with_site_tables();
+    let results = sim
+        .run_program_lanes(&w.program, limit)
         .unwrap_or_else(|e| panic!("workload {} faulted: {e}", w.name));
-    let sink = sim.into_sink();
-    let attribution = EnergyAttribution::build(w.name, label, &w.program, &sink);
-    AttributedRun {
-        result,
-        attribution,
-    }
+    results
+        .into_iter()
+        .zip(labels)
+        .enumerate()
+        .map(|(lane, (result, label))| {
+            let table = sim.site_table(lane).expect("built with site tables");
+            let sink = AttributionSink::from(table);
+            let attribution = EnergyAttribution::build(w.name, label, &w.program, &sink);
+            AttributedRun {
+                result,
+                attribution,
+            }
+        })
+        .collect()
+}
+
+/// Runs one workload once under every scheme of `schemes`: one
+/// [`AttributedRun`] per scheme, in the order of `schemes`.
+///
+/// # Panics
+///
+/// Panics if `schemes` is empty or the workload program faults.
+pub(crate) fn attribute_schemes(
+    w: &Workload,
+    schemes: &[Scheme],
+    limit: u64,
+) -> Vec<AttributedRun> {
+    attribute_lanes(w, schemes.iter().map(|s| (s.config(), s.label())), limit)
 }
 
 /// Attributes every workload in `workloads` under `scheme`, fanning out
@@ -174,6 +213,37 @@ pub fn attribute_suite(
     jobs: Jobs,
 ) -> Vec<AttributedRun> {
     map_indexed(jobs, workloads, |_, w| attribute_workload(w, scheme, limit))
+}
+
+/// Attributes every workload under every scheme of `schemes`, one
+/// timing pass per workload, fanning the workloads out across `jobs`
+/// workers. Returns one list per scheme, in the order of `schemes`, each
+/// equal to [`attribute_suite`] under that scheme.
+pub fn attribute_suite_schemes(
+    workloads: &[Workload],
+    schemes: &[Scheme],
+    limit: u64,
+    jobs: Jobs,
+) -> Vec<Vec<AttributedRun>> {
+    by_scheme(
+        map_indexed(jobs, workloads, |_, w| attribute_schemes(w, schemes, limit)),
+        schemes.len(),
+    )
+}
+
+/// Turns per-workload lists of per-scheme results into per-scheme lists
+/// of per-workload results.
+pub(crate) fn by_scheme<T>(per_workload: Vec<Vec<T>>, schemes: usize) -> Vec<Vec<T>> {
+    let mut out: Vec<Vec<T>> = (0..schemes)
+        .map(|_| Vec::with_capacity(per_workload.len()))
+        .collect();
+    for row in per_workload {
+        debug_assert_eq!(row.len(), schemes);
+        for (list, item) in out.iter_mut().zip(row) {
+            list.push(item);
+        }
+    }
+    out
 }
 
 #[cfg(test)]

@@ -3,44 +3,13 @@
 
 use std::collections::BTreeMap;
 
-use fua_isa::{Case, FuClass};
 use fua_power::EnergyLedger;
+use fua_sim::{SiteKey, SiteStat, SiteTable};
 use fua_trace::{TraceEvent, TraceSink};
 
-/// One static charge site: the issuing PC plus where the charge landed
-/// (FU class and module) and the information-bit case that steered it.
-///
-/// The ordering is derived, so a `BTreeMap` keyed by `SiteKey` iterates
-/// in a deterministic (pc, class, module, case) order regardless of the
-/// order charges arrived in — the property the parallel merge and every
-/// rendered report rely on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SiteKey {
-    /// Static program counter (instruction index) of the issuing
-    /// instruction.
-    pub pc: u32,
-    /// The FU class charged.
-    pub class: FuClass,
-    /// The module whose input latches toggled.
-    pub module: u8,
-    /// The instruction's information-bit case at steering time.
-    pub case: Case,
-}
-
-/// Accumulated charges for one [`SiteKey`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SiteStat {
-    /// Switched input bits charged at this site.
-    pub bits: u64,
-    /// Operations issued from this site.
-    pub ops: u64,
-}
-
-impl SiteStat {
-    fn add(&mut self, other: SiteStat) {
-        self.bits += other.bits;
-        self.ops += other.ops;
-    }
+fn add(into: &mut SiteStat, other: SiteStat) {
+    into.bits += other.bits;
+    into.ops += other.ops;
 }
 
 /// A [`TraceSink`] that partitions the energy ledger by static site.
@@ -51,6 +20,9 @@ impl SiteStat {
 /// All other events are ignored. [`merge`](AttributionSink::merge) is
 /// associative and key-ordered, so per-workload sinks merged in
 /// workload-index order equal one sink threaded through a serial run.
+///
+/// An untraced run builds the same sink from a steering lane's
+/// [`SiteTable`], which counts the same charges per site (`From`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AttributionSink {
     sites: BTreeMap<SiteKey, SiteStat>,
@@ -80,7 +52,7 @@ impl AttributionSink {
     /// Folds another sink's sites into this one (key-wise addition).
     pub fn merge(&mut self, other: &AttributionSink) {
         for (key, stat) in &other.sites {
-            self.sites.entry(*key).or_default().add(*stat);
+            add(self.sites.entry(*key).or_default(), *stat);
         }
     }
 
@@ -112,6 +84,14 @@ impl AttributionSink {
     }
 }
 
+impl From<&SiteTable> for AttributionSink {
+    fn from(table: &SiteTable) -> Self {
+        AttributionSink {
+            sites: table.sites().collect(),
+        }
+    }
+}
+
 impl TraceSink for AttributionSink {
     fn record(&mut self, event: &TraceEvent) {
         if let TraceEvent::Energy {
@@ -123,18 +103,19 @@ impl TraceSink for AttributionSink {
             ..
         } = *event
         {
-            self.sites
-                .entry(SiteKey {
-                    pc,
-                    class,
-                    module,
-                    case,
-                })
-                .or_default()
-                .add(SiteStat {
+            let key = SiteKey {
+                pc,
+                class,
+                module,
+                case,
+            };
+            add(
+                self.sites.entry(key).or_default(),
+                SiteStat {
                     bits: bits as u64,
                     ops: 1,
-                });
+                },
+            );
         }
     }
 }
@@ -142,6 +123,7 @@ impl TraceSink for AttributionSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fua_isa::{Case, FuClass};
 
     fn energy(pc: u32, class: FuClass, module: u8, case: Case, bits: u32) -> TraceEvent {
         TraceEvent::Energy {

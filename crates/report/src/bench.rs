@@ -11,7 +11,7 @@
 //! with the simulator's own ledger; the verdict is recorded in the
 //! artifact (`telemetry.exact`).
 
-use fua_attr::{check_suite, AttributionSink, EnergyAttribution, EstimateCheck, Scheme};
+use fua_attr::{check_suite_schemes, AttributionSink, EnergyAttribution, EstimateCheck, Scheme};
 use fua_exec::{map_indexed_timed, ExecReport, Jobs};
 use fua_power::EnergyLedger;
 use fua_sim::{PhaseTimers, SimPhase, Simulator};
@@ -596,15 +596,19 @@ pub fn bench_suite_jobs(
     };
 
     // Static-estimator pass: join every scheme's static switched-bit
-    // bounds against a measured attribution of the whole suite. Pure
-    // model arithmetic — deterministic for any worker count.
+    // bounds against a measured attribution of the whole suite, every
+    // scheme steering one timing pass per workload. Pure model
+    // arithmetic — deterministic for any worker count.
     let estimator = EstimatorSummary {
         entries: Scheme::ALL
             .iter()
-            .map(|&scheme| {
-                let checks = check_suite(arena.all(), scheme, config.inst_limit, jobs);
-                estimator_entry(scheme, &checks)
-            })
+            .zip(check_suite_schemes(
+                arena.all(),
+                &Scheme::ALL,
+                config.inst_limit,
+                jobs,
+            ))
+            .map(|(&scheme, checks)| estimator_entry(scheme, &checks))
             .collect(),
     };
 

@@ -5,10 +5,11 @@
 //! can feed any number of steering configurations. A [`SteerLane`] holds
 //! everything that does depend on the choice: the [`SteeringConfig`],
 //! each module's input latches, the [`EnergyLedger`], the issued bit
-//! patterns, the swap counters and the Booth energy. Lane 0 steers inline
-//! every cycle and drives the trace events; further lanes steer the same
-//! issue group right after it, untraced. DESIGN.md §13 gives the
-//! independence argument, `docs/PERFORMANCE.md` the measurements.
+//! patterns, the swap counters, the Booth energy and, when asked for, a
+//! [`SiteTable`] of its charges. Lane 0 steers inline every cycle and
+//! drives the trace events; further lanes steer the same issue group
+//! right after it, untraced. DESIGN.md §13 gives the independence
+//! argument, `docs/PERFORMANCE.md` the measurements.
 
 use std::time::Instant;
 
@@ -19,19 +20,23 @@ use fua_stats::BitPatternProfiler;
 use fua_steer::ModuleChoice;
 use fua_vm::FuOp;
 
-use crate::{MachineConfig, PhaseProfiler, SimPhase, SteeringConfig, SwapStats};
+use crate::{MachineConfig, PhaseProfiler, SimPhase, SiteTable, SteeringConfig, SwapStats};
 
 /// What steering needs of one issued op besides its operands: their
 /// pre-decoded case bits, their ones fractions (computed once for every
-/// lane's bit-pattern profiler) and whether the opcode is a multiply
-/// (multiplier swap rule, Booth model).
+/// lane's bit-pattern profiler), whether the opcode is a multiply
+/// (multiplier swap rule, Booth model) and its static PC (site tables).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct OpMeta {
     /// `Word::ones_fraction` of OP1 and OP2 as dispatched.
     pub ones: [f64; 2],
+    pub pc: u32,
     pub case_bits: u8,
     pub is_mul: bool,
 }
+
+// The PC fits in the padding the ones fractions leave.
+const _: () = assert!(std::mem::size_of::<OpMeta>() == 24);
 
 /// One issue group as steering sees it: each op's operands as
 /// dispatched (before any swap) and its [`OpMeta`], in two parallel
@@ -80,6 +85,8 @@ pub(crate) struct SteerLane {
     pub booth_energy: [f64; 4],
     pub bit_patterns: Vec<BitPatternProfiler>,
     pub swaps: SwapStats,
+    /// The lane's charges per static site, when the run attributes them.
+    pub sites: Option<SiteTable>,
     // Per-group working memory, sized once so steering never allocates.
     ops: Vec<FuOp>,
     case_bits: Vec<u8>,
@@ -99,6 +106,7 @@ impl SteerLane {
             booth_energy: [0.0; 4],
             bit_patterns: vec![BitPatternProfiler::new(); 4],
             swaps: SwapStats::default(),
+            sites: None,
             ops: Vec::with_capacity(widest),
             case_bits: Vec::with_capacity(widest),
             choices: Vec::with_capacity(widest),
@@ -201,6 +209,11 @@ impl SteerLane {
             }
             let bits = self.ports[ci][choice.module].latch(op.op1, op.op2);
             self.ledger.charge(class, bits);
+            if let Some(sites) = &mut self.sites {
+                // The site the trace's energy event names: the case is
+                // the one the policy saw, before its own swap.
+                sites.charge(meta[i].pc, ci, choice.module, case_bits[i], bits);
+            }
             // The bit patterns of the op as issued: swapped operands swap
             // their ones fractions and case bits too.
             let ones = if op.op1 == fus[i].op1 {

@@ -16,7 +16,10 @@
 //! can measure several schemes: [`Simulator::with_lanes`] steers every
 //! issue group under each configuration, and
 //! [`Simulator::run_program_lanes`] returns one [`SimResult`] per lane,
-//! each equal to a separate run's.
+//! each equal to a separate run's. With
+//! [`Simulator::with_site_tables`] each lane also counts its charges
+//! per static site in a [`SiteTable`], the energy-attribution partition
+//! a trace sink would otherwise build from events.
 //!
 //! # Examples
 //!
@@ -55,6 +58,7 @@ mod predictor;
 mod profiler;
 mod reference;
 mod result;
+mod sites;
 mod steering;
 
 pub use cache::{CacheConfig, DataCache};
@@ -64,4 +68,5 @@ pub use predictor::BimodalPredictor;
 pub use profiler::{NullProfiler, PhaseProfiler, PhaseTimers, SimPhase};
 pub use reference::ReferenceSimulator;
 pub use result::{BranchStats, CacheStats, SimResult, SwapStats};
+pub use sites::{SiteKey, SiteStat, SiteTable};
 pub use steering::SteeringConfig;

@@ -28,7 +28,7 @@ use crate::inflight::{
 use crate::lane::{OpMeta, SteerLane};
 use crate::{
     BimodalPredictor, BranchStats, CacheStats, DataCache, MachineConfig, NullProfiler,
-    PhaseProfiler, SimPhase, SimResult, SteeringConfig,
+    PhaseProfiler, SimPhase, SimResult, SiteTable, SteeringConfig,
 };
 
 /// Times `$body` and charges it to `$phase` — expands to bare `$body`
@@ -125,6 +125,28 @@ impl Simulator<NullSink> {
             sim.lanes.push(SteerLane::new(&sim.config, lane));
         }
         sim
+    }
+
+    /// Gives every lane a [`SiteTable`]: each counts its charges per
+    /// (pc, class, module, case) as it charges its ledger, which is the
+    /// partition an energy-attribution trace sink builds from the
+    /// `Energy` events, for every lane and without a trace. Read the
+    /// tables after a run with [`site_table`](Simulator::site_table).
+    pub fn with_site_tables(mut self) -> Self {
+        for lane in &mut self.lanes {
+            lane.sites = Some(SiteTable::new(&self.config));
+        }
+        self
+    }
+
+    /// Lane `lane`'s site table from the last run, if the simulator was
+    /// built [`with_site_tables`](Simulator::with_site_tables).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range.
+    pub fn site_table(&self, lane: usize) -> Option<&SiteTable> {
+        self.lanes[lane].sites.as_ref()
     }
 }
 
@@ -231,6 +253,8 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
     /// Runs a pre-materialised trace (useful for tests and property
     /// checks).
     pub fn run_trace(&mut self, ops: &[DynOp]) -> SimResult {
+        let pcs = ops.iter().map(|op| op.static_idx as usize + 1).max();
+        self.reset_site_tables(pcs.unwrap_or(0));
         let mut iter = ops.iter().copied();
         self.run_source(|| Ok(iter.next()))
             .expect("a materialised trace cannot fault");
@@ -239,6 +263,7 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
 
     /// Interprets `program` into the pipeline; returns whether it halted.
     fn run_vm(&mut self, program: &Program, limit: u64) -> Result<bool, VmError> {
+        self.reset_site_tables(program.len());
         let mut vm = Vm::new(program);
         let mut remaining = limit;
         self.run_source(|| {
@@ -249,6 +274,13 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
             vm.step()
         })?;
         Ok(vm.halted())
+    }
+
+    /// Sizes every lane's site table, if any, for PCs `0..pcs`.
+    fn reset_site_tables(&mut self, pcs: usize) {
+        for sites in self.lanes.iter_mut().filter_map(|l| l.sites.as_mut()) {
+            sites.reset(pcs);
+        }
     }
 
     /// The timing outcome of the finished run, with `lane`'s steering
@@ -613,6 +645,7 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
             let fu = self.inflight.fu[slot];
             let meta = OpMeta {
                 ones: [fu.op1.ones_fraction(), fu.op2.ones_fraction()],
+                pc: self.inflight.static_idx[slot],
                 case_bits: self.inflight.case_bits[slot],
                 is_mul: matches!(self.inflight.opcode[slot], Opcode::Mul | Opcode::FMul),
             };

@@ -88,7 +88,7 @@ impl ToJson for SwapStats {
 }
 
 /// Everything one simulation run produces.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     /// Elapsed cycles.
     pub cycles: u64,

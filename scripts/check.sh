@@ -49,8 +49,9 @@ trap 'rm -rf "$tmpdir"' EXIT
   fi
 )
 
-# Attribution-determinism gate: the energy profiler's flamegraph and
-# site table must be byte-identical between --jobs 1 and --jobs 4.
+# Attribution-determinism gate: the energy profiler's flamegraph, site
+# table and differential report must be byte-identical between --jobs 1
+# and --jobs 4.
 (
   cd "$tmpdir"
   "$repo/target/release/fua" profile-energy all --jobs 1 \
@@ -59,6 +60,11 @@ trap 'rm -rf "$tmpdir"' EXIT
     --flame flame-parallel.txt --json > attr-parallel.json
   cmp flame-serial.txt flame-parallel.txt
   cmp attr-serial.json attr-parallel.json
+  "$repo/target/release/fua" profile-energy all --jobs 1 \
+    --compare naive lut4 > diff-naive-vs-lut4-serial.txt
+  "$repo/target/release/fua" profile-energy all --jobs 4 \
+    --compare naive lut4 > diff-naive-vs-lut4-parallel.txt
+  cmp diff-naive-vs-lut4-serial.txt diff-naive-vs-lut4-parallel.txt
 )
 
 # Cycle-attribution gates: the stall partition must account every
@@ -102,14 +108,18 @@ trap 'rm -rf "$tmpdir"' EXIT
   fi
 )
 
-# Estimator gates: static bounds must be byte-identical across job
-# counts, and must dominate the measured attribution for every
-# workload x scheme (nonzero exit on any violated bound).
+# Estimator gates: static bounds and the verified checks must be
+# byte-identical across job counts, and the bounds must dominate the
+# measured attribution for every workload x scheme (nonzero exit on any
+# violated bound).
 (
   cd "$tmpdir"
   "$repo/target/release/fua" estimate all --jobs 1 --json > est-serial.json
   "$repo/target/release/fua" estimate all --jobs 4 --json > est-parallel.json
   cmp est-serial.json est-parallel.json
+  "$repo/target/release/fua" estimate all --verify --jobs 1 --json > est-verify-serial.json
+  "$repo/target/release/fua" estimate all --verify --jobs 4 --json > est-verify-parallel.json
+  cmp est-verify-serial.json est-verify-parallel.json
   "$repo/target/release/fua" estimate all --verify --jobs 4 > estimator-precision.txt
   cat estimator-precision.txt
 )

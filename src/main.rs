@@ -750,7 +750,7 @@ fn breakdown_table(runs: &[fua::attr::AttributedRun]) -> TextTable {
 }
 
 fn cmd_profile_energy(name: &str, opts: &Options) -> Result<(), String> {
-    use fua::attr::{attribute_suite, AttributionDiff};
+    use fua::attr::{attribute_suite, attribute_suite_schemes, AttributionDiff};
     use fua::trace::Json;
 
     if opts.scheme.is_some() && opts.compare.is_some() {
@@ -771,8 +771,11 @@ fn cmd_profile_energy(name: &str, opts: &Options) -> Result<(), String> {
             workloads.len(),
             opts.jobs()
         );
-        let runs_a = attribute_suite(&workloads, scheme_a, limit, opts.jobs());
-        let runs_b = attribute_suite(&workloads, scheme_b, limit, opts.jobs());
+        // Both schemes steer one timing pass per workload.
+        let mut runs =
+            attribute_suite_schemes(&workloads, &[scheme_a, scheme_b], limit, opts.jobs());
+        let runs_b = runs.pop().expect("scheme B's runs");
+        let runs_a = runs.pop().expect("scheme A's runs");
         verify_exact(&runs_a)?;
         verify_exact(&runs_b)?;
         let diffs: Vec<AttributionDiff> = runs_a
@@ -1469,7 +1472,7 @@ fn cmd_estimate_verify(
     workloads: &[fua::workloads::Workload],
     opts: &Options,
 ) -> Result<(), String> {
-    use fua::attr::{check_suite, EstimateCheck, Scheme};
+    use fua::attr::{check_suite_schemes, EstimateCheck, Scheme};
     use fua::trace::Json;
 
     let schemes: Vec<Scheme> = match opts.scheme.as_deref() {
@@ -1484,10 +1487,12 @@ fn cmd_estimate_verify(
         schemes.len(),
         opts.jobs()
     );
-    let mut checks: Vec<EstimateCheck> = Vec::new();
-    for &scheme in &schemes {
-        checks.extend(check_suite(workloads, scheme, limit, opts.jobs()));
-    }
+    // Every scheme steers one timing pass per workload; the rows stay
+    // scheme-major.
+    let checks: Vec<EstimateCheck> = check_suite_schemes(workloads, &schemes, limit, opts.jobs())
+        .into_iter()
+        .flatten()
+        .collect();
     let violations: usize = checks.iter().map(|c| c.violations.len()).sum();
 
     if opts.json {

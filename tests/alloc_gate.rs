@@ -3,7 +3,7 @@
 //! buckets, steering tables), the untraced hot loop must allocate
 //! **zero** bytes per simulated cycle, for every workload under every
 //! Figure-4 scheme, and for every workload's multi-lane run that steers
-//! all of them at once.
+//! all of them at once, with and without per-lane site tables.
 //!
 //! Methodology: heap traffic of a run is `constant per-run setup +
 //! per-cycle cost × cycles`. After warmup at the *longer* limit, a run
@@ -40,14 +40,28 @@ fn run(w: &fua::workloads::Workload, kind: SteeringKind, limit: u64) -> u64 {
 /// One timing pass of `w` steering every Figure-4 scheme, with and
 /// without the hardware swap, as lanes — how the sweeps run it. The
 /// lanes are built inside the measurement window, like [`run`]'s scheme.
-fn run_lanes(w: &fua::workloads::Workload, limit: u64) -> u64 {
+/// With `site_tables`, every lane also counts its charges per static
+/// site, as the attribution commands run it.
+fn run_lanes(w: &fua::workloads::Workload, limit: u64, site_tables: bool) -> u64 {
     let lanes = SteeringKind::FIGURE4
         .iter()
         .flat_map(|&kind| [false, true].map(|hw| SteeringConfig::paper_scheme(kind, hw)))
         .collect();
-    let results = Simulator::with_lanes(MachineConfig::paper_default(), lanes)
+    let mut sim = Simulator::with_lanes(MachineConfig::paper_default(), lanes);
+    if site_tables {
+        sim = sim.with_site_tables();
+    }
+    let results = sim
         .run_program_lanes(&w.program, limit)
         .unwrap_or_else(|e| panic!("workload {} faulted with lanes: {e}", w.name));
+    if site_tables {
+        assert!(
+            sim.site_table(0)
+                .is_some_and(|t| t.sites().next().is_some()),
+            "workload {}: the site table counted nothing",
+            w.name
+        );
+    }
     results[0].cycles
 }
 
@@ -102,27 +116,31 @@ fn the_steady_state_hot_loop_allocates_nothing_per_cycle() {
             checked += 1;
         }
         // The same for a multi-lane run: steering every issue group in
-        // the extra lanes must allocate nothing per cycle either.
-        run_lanes(w, 2 * LIMIT);
-        let short = allocs_of(w, || run_lanes(w, LIMIT));
-        let long = allocs_of(w, || run_lanes(w, 2 * LIMIT));
-        assert_eq!(
-            short,
-            long,
-            "workload {} with 12 steering lanes: a {}-instruction run allocated {} \
-             event(s), a {}-instruction run {} — the difference is per-cycle \
-             allocation in the extra steering lanes",
-            w.name,
-            LIMIT,
-            short,
-            2 * LIMIT,
-            long
-        );
-        checked += 1;
+        // the extra lanes, and counting every charge in the lanes' site
+        // tables, must allocate nothing per cycle either.
+        for site_tables in [false, true] {
+            run_lanes(w, 2 * LIMIT, site_tables);
+            let short = allocs_of(w, || run_lanes(w, LIMIT, site_tables));
+            let long = allocs_of(w, || run_lanes(w, 2 * LIMIT, site_tables));
+            assert_eq!(
+                short,
+                long,
+                "workload {} with 12 steering lanes (site tables: {site_tables}): a \
+                 {}-instruction run allocated {} event(s), a {}-instruction run {} — the \
+                 difference is per-cycle allocation in the extra steering lanes",
+                w.name,
+                LIMIT,
+                short,
+                2 * LIMIT,
+                long
+            );
+            checked += 1;
+        }
     }
     assert_eq!(
         checked,
-        workloads.len() as u32 * (SteeringKind::FIGURE4.len() as u32 + 1),
-        "every workload x scheme cell, and every workload's multi-lane run, must be gated"
+        workloads.len() as u32 * (SteeringKind::FIGURE4.len() as u32 + 2),
+        "every workload x scheme cell, and every workload's multi-lane runs with and \
+         without site tables, must be gated"
     );
 }

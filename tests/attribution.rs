@@ -1,12 +1,13 @@
 //! Integration: energy attribution must be an *exact partition* — the
 //! per-site switched-bit sums must reproduce the final `EnergyLedger`
 //! bit-for-bit for every steering scheme × swap variant, attaching the
-//! sink must not perturb the simulation, and the parallel path must be
+//! sink must not perturb the simulation, the lanes' site tables must
+//! equal the trace sink's partition, and the parallel path must be
 //! byte-identical to the serial one.
 
 use fua::attr::{
-    attribute_suite, attribute_workload, AttributionDiff, AttributionSink, EnergyAttribution,
-    Scheme,
+    attribute_lanes, attribute_suite, attribute_workload, AttributionDiff, AttributionSink,
+    EnergyAttribution, Scheme,
 };
 use fua::exec::Jobs;
 use fua::isa::FuClass;
@@ -85,6 +86,54 @@ fn attribution_is_an_exact_partition_for_every_scheme_and_swap() {
                     .sum();
                 assert_eq!(by_module, total);
             }
+        }
+    }
+}
+
+/// Every configuration the attribution commands and Figure 4 steer:
+/// the named schemes, then each Figure-4 policy without and with the
+/// hardware swap.
+fn every_configuration() -> Vec<(SteeringConfig, String)> {
+    let named = Scheme::ALL
+        .iter()
+        .map(|s| (s.config(), s.label().to_string()));
+    let figure4 = SteeringKind::FIGURE4.iter().flat_map(|&kind| {
+        [false, true].map(|hw_swap| {
+            (
+                SteeringConfig::paper_scheme(kind, hw_swap),
+                format!("{kind:?} hw_swap={hw_swap}"),
+            )
+        })
+    });
+    named.chain(figure4).collect()
+}
+
+#[test]
+fn lane_site_tables_equal_the_trace_sink_partition() {
+    // Every configuration steers one multi-lane pass per workload; each
+    // lane must attribute exactly what a traced single run does.
+    const LANE_LIMIT: u64 = 4_000;
+    for w in fua::workloads::all(1) {
+        let configs = every_configuration();
+        let lanes = attribute_lanes(
+            &w,
+            configs.iter().map(|(c, label)| (c.clone(), label.as_str())),
+            LANE_LIMIT,
+        );
+        assert_eq!(lanes.len(), configs.len(), "{}: one run per lane", w.name);
+        for (lane, (config, label)) in lanes.iter().zip(configs) {
+            let mut sim = Simulator::with_sink(
+                fua::sim::MachineConfig::paper_default(),
+                config,
+                AttributionSink::new(),
+            );
+            let result = sim.run_program(&w.program, LANE_LIMIT).expect("runs");
+            let traced = EnergyAttribution::build(w.name, &label, &w.program, sim.sink());
+            // Same rows (pc, class, module, case, bits, ops), block
+            // provenance and labels.
+            assert_eq!(lane.attribution, traced, "{} {label}", w.name);
+            assert_eq!(lane.result, result, "{} {label}: SimResult", w.name);
+            assert!(lane.exact(), "{} {label}: lane not exact", w.name);
         }
     }
 }

@@ -9,7 +9,11 @@
 //! shares it — which is exactly what these tests exercise.
 
 use fua::analysis::{estimate_transitions, SwapModel};
-use fua::attr::{attribute_with_config, check_attribution, check_workload, Scheme};
+use fua::attr::{
+    attribute_with_config, check_attribution, check_suite, check_suite_schemes, check_workload,
+    Scheme,
+};
+use fua::exec::Jobs;
 use fua::sim::SteeringConfig;
 use fua::steer::SteeringKind;
 
@@ -84,5 +88,22 @@ fn the_either_model_also_covers_swap_free_runs() {
         let run = attribute_with_config(&w, SteeringConfig::original(), "naive", LIMIT);
         let check = check_attribution(&est, &run.attribution);
         assert!(check.sound(), "{name}: {:?}", check.violations.first());
+    }
+}
+
+#[test]
+fn multi_scheme_checks_equal_the_per_scheme_suites_in_scheme_order() {
+    let workloads = fua::workloads::all(1);
+    let per_scheme: Vec<_> = Scheme::ALL
+        .iter()
+        .flat_map(|&scheme| check_suite(&workloads, scheme, LIMIT, Jobs::serial()))
+        .collect();
+    for jobs in [1, 3] {
+        let jobs = Jobs::new(jobs).expect("positive");
+        let multi: Vec<_> = check_suite_schemes(&workloads, &Scheme::ALL, LIMIT, jobs)
+            .into_iter()
+            .flatten()
+            .collect();
+        assert_eq!(multi, per_scheme, "{} job(s)", jobs.get());
     }
 }

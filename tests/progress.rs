@@ -89,9 +89,20 @@ fn quiet_suppresses_the_heartbeat_and_stdout_is_byte_identical() {
 #[test]
 fn artifacts_recorded_under_progress_are_indistinguishable() {
     let tmp = TempDir::new("bench");
+    // One worker each: with two, the measured busy fraction and
+    // imbalance vary by about 0.05 between identical runs, which is
+    // where the report flags them as measurement noise.
     let silent = fua_in(
         &tmp.0,
-        &["bench-suite", "--limit", "1500", "--tag", "silent"],
+        &[
+            "bench-suite",
+            "--limit",
+            "1500",
+            "--jobs",
+            "1",
+            "--tag",
+            "silent",
+        ],
     );
     let chatty = fua_in(
         &tmp.0,
@@ -99,6 +110,8 @@ fn artifacts_recorded_under_progress_are_indistinguishable() {
             "bench-suite",
             "--limit",
             "1500",
+            "--jobs",
+            "1",
             "--tag",
             "chatty",
             "--progress",
